@@ -104,17 +104,26 @@ def unpack(raw: bytes) -> Checkpoint:
     return Checkpoint(_MODE_NAMES[mode_id], limit, state, digest)
 
 
-def save(path: str, ckpt: Checkpoint) -> None:
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path`` and rename it into place.
+
+    Shared with the CLI's report writer, so neither a checkpoint nor a
+    report is ever left half written.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gapsum-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(ckpt.pack())
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save(path: str, ckpt: Checkpoint) -> None:
+    _write_atomic(path, ckpt.pack())
 
 
 def load(path: str) -> Checkpoint:

@@ -13,7 +13,7 @@ CSV output is locale independent ('.' decimal separator, LF endings,
 into place, so a failed run leaves no partial output.
 
 Exit codes: 0 success, 1 validation or usage error, 2 capacity or
-precision error.
+precision error, or a worker process that died or ran out of memory.
 """
 
 from __future__ import annotations
@@ -24,71 +24,14 @@ import io
 import json
 import os
 import sys
-import tempfile
 import time
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import checkpoint, engine, singular, sums, verify
-from .errors import (
-    CapacityError,
-    CheckpointError,
-    GapsumError,
-    PrecisionError,
-    ValidationError,
-)
-
-COMMANDS = (
-    "sieve-stats",
-    "gaps-histogram",
-    "weighted-sum",
-    "en-sum",
-    "singular-pair",
-    "singular-tuple",
-    "verify-lemma21",
-    "verify-lemma22",
-    "verify-conjecture1",
-    "verify-sieve-bound",
-    "verify-theorem1",
-    "verify-corollary",
-    "sandwich",
-)
+from .errors import CapacityError, GapsumError, PrecisionError, ValidationError
 
 SNAPSHOT_FIELDS = ["limit", "value", "terms"]
 REPORT_FIELDS = ["claim", "params_json", "empirical", "predicted", "ratio", "notes"]
-
-
-@dataclass
-class RunConfig:
-    """Everything a run needs; echoed into the output header."""
-
-    command: str
-    limit: int | None = None
-    alpha: float | None = None
-    c: float | None = None
-    d: int | None = None
-    d_list: list[int] | None = None
-    offsets: list[int] | None = None
-    truncation: int | None = None
-    grid: list[int] | None = None
-    samples: list[tuple[int, int]] | None = None
-    mode: str = "prime"
-    start_index: int | None = None
-    workers: int = 1
-    segment_slots: int | None = None
-    output_format: str = "csv"
-    output_path: str | None = None
-    checkpoint_dir: str | None = None
-    resume: str | None = None
-    stop_after_segments: int | None = None
-    snapshot_grid: list[int] | None = None
-
-    def header_lines(self) -> list[str]:
-        items = []
-        for key, value in sorted(vars(self).items()):
-            if value is None:
-                continue
-            items.append(f"# {key}={value}")
-        return items
 
 
 def parse_count(text: str) -> int:
@@ -142,46 +85,247 @@ def parse_samples(text: str) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # Output writing
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gapsum-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+class Output(NamedTuple):
+    """What a command reports: the file's columns and rows, and its stdout summary."""
+
+    fields: list[str]
+    rows: list[list]
+    lines: list[str]
 
 
-def write_rows(config: RunConfig, fieldnames: list[str], rows: list[list]) -> str:
-    path = config.output_path or f"gapsum-{config.command}.{config.output_format}"
-    if config.output_format == "json":
-        payload = [dict(zip(fieldnames, row)) for row in rows]
-        _write_atomic(path, json.dumps(payload, indent=2) + "\n")
+def write_rows(args: argparse.Namespace, fieldnames: list[str], rows: list[list]) -> str:
+    """Write one report; CSV starts with every set value of ``args`` in '#' lines."""
+    path = args.output_path or f"gapsum-{args.command}.{args.output_format}"
+    if args.output_format == "json":
+        text = json.dumps([dict(zip(fieldnames, row)) for row in rows], indent=2) + "\n"
     else:
         buf = io.StringIO()
-        for line in config.header_lines():
-            buf.write(line + "\n")
+        for key, value in sorted(vars(args).items()):
+            if value is not None:
+                buf.write(f"# {key}={value}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow(row)
-        _write_atomic(path, buf.getvalue())
+        writer.writerows(rows)
+        text = buf.getvalue()
+    checkpoint._write_atomic(path, text.encode("utf-8"))
     return path
 
 
-def snapshot_rows(snaps: list[sums.SumSnapshot]) -> list[list]:
-    return [[s.limit_reached, verify.format_float(s.value), s.terms] for s in snaps]
-
-
-def report_rows(reports: list[verify.VerificationReport]) -> list[list]:
-    return [r.to_csv_row() for r in reports]
+def _reports(reports: list[verify.VerificationReport], lines: list[str] | None = None) -> Output:
+    """Report rows; the summary is one line per row unless ``lines`` is given."""
+    if lines is None:
+        lines = []
+        for r in reports:
+            ratio = "n/a" if r.ratio is None else f"{r.ratio:.6f}"
+            lines.append(f"{r.claim} {r.params}: empirical={r.empirical:.6g} ratio={ratio} {r.notes}")
+    return Output(REPORT_FIELDS, [r.to_csv_row() for r in reports], lines)
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Command implementations
+
+def _sieve(a: argparse.Namespace) -> dict:
+    return {"workers": a.workers, "segment_slots": a.segment_slots}
+
+
+def _sieve_stats(a: argparse.Namespace) -> Output:
+    started = time.perf_counter()
+    count = engine.prime_count(a.limit, **_sieve(a))
+    elapsed = time.perf_counter() - started
+    return Output(SNAPSHOT_FIELDS, [[a.limit, verify.format_float(float(count)), count]],
+                  [f"pi({a.limit}) = {count} ({elapsed:.2f}s)"])
+
+
+def _gaps_histogram(a: argparse.Namespace) -> Output:
+    hist = engine.consecutive_gap_counts(a.limit, **_sieve(a))
+    reports = [
+        verify.VerificationReport("gap_histogram", {"X": a.limit, "d": d}, float(c), None, None, "")
+        for d, c in sorted(hist.counts.items())
+    ]
+    return _reports(reports, [f"gaps-histogram: {len(hist.counts)} distinct gaps, "
+                              f"span {hist.total_span()}"])
+
+
+def _singular(claim: str, params: dict, sv: singular.SingularValue, label: str) -> Output:
+    err = verify.format_float(sv.abs_error)
+    report = verify.VerificationReport(claim, params, sv.value, None, None, f"abs_error={err}")
+    return _reports([report], [f"{label} = {verify.format_float(sv.value)} (+/- {err})"])
+
+
+def _sandwich(a: argparse.Namespace) -> Output:
+    res = sums.sandwich_check(a.limit, a.d, **_sieve(a))
+    report = verify.VerificationReport(
+        "sandwich", {"X": a.limit, "d": a.d}, float(res.middle), None, None,
+        f"lower={res.lower};upper={res.upper};ok={res.ok}",
+    )
+    return _reports([report], [f"sandwich X={a.limit} d={a.d}: "
+                               f"{res.lower} <= {res.middle} <= {res.upper} (ok={res.ok})"])
+
+
+def _sieve_bound(a: argparse.Namespace) -> Output:
+    a.samples = a.samples or verify.default_sieve_samples()
+    return _reports(verify.sieve_bound_check(a.limit, a.samples, **_sieve(a)))
+
+
+def _weighted_sum(a: argparse.Namespace) -> Output | None:
+    if a.start_index is None:
+        a.start_index = 2 if a.alpha < 0 else 1
+    weight = sums.WeightSpec(a.alpha, a.start_index)
+    return _stream(a, lambda **kw: sums.weighted_gap_sum_series(
+        weight, **{f"{a.mode}_limit": a.limit}, **kw))
+
+
+def _en_sum(a: argparse.Namespace) -> Output | None:
+    a.mode, a.start_index = "index", 3
+    out = _stream(a, lambda **kw: sums.erdos_nathanson_series(a.limit, a.c, **kw))
+    if out is not None and a.c > 2:
+        out.lines.append(f"heuristic tail estimate (c > 2): "
+                         f"{verify.format_float(sums.en_heuristic_tail(a.limit, a.c))}")
+    return out
+
+
+def _stream(a: argparse.Namespace, runner: Callable[..., list[sums.SumSnapshot]]) -> Output | None:
+    """Run a checkpointable sum; None when a stop-after-segments budget ends it."""
+    if a.snapshot_grid is None:
+        a.snapshot_grid = sums.default_snapshot_grid(a.limit)
+    # The semantic configuration a checkpoint must match; the worker count
+    # is left out because it cannot affect results.
+    digest = checkpoint.config_digest({
+        "command": a.command,
+        "mode": a.mode,
+        "limit": a.limit,
+        "segment_slots": engine.effective_segment_slots(a.limit, a.segment_slots),
+        "snapshot_grid": a.snapshot_grid,
+        "alpha": getattr(a, "alpha", None),
+        "c": getattr(a, "c", None),
+        "start_index": a.start_index,
+    })
+
+    resume_state = None
+    if a.resume:
+        ck = checkpoint.load(a.resume)
+        checkpoint.verify_match(ck, a.mode, a.limit, digest)
+        resume_state = ck.state
+
+    on_segment = ckpt_path = None
+    if a.checkpoint_dir:
+        os.makedirs(a.checkpoint_dir, exist_ok=True)
+        ckpt_path = os.path.join(a.checkpoint_dir, f"gapsum-{a.command}.ckpt")
+        on_segment = lambda st: checkpoint.save(
+            ckpt_path, checkpoint.Checkpoint(a.mode, a.limit, st, digest)
+        )
+    if a.stop_after_segments is not None and ckpt_path is None:
+        raise ValidationError("--stop-after-segments requires --checkpoint-dir")
+
+    started = time.perf_counter()
+    try:
+        snaps = runner(snapshot_limits=a.snapshot_grid, resume=resume_state,
+                       on_segment=on_segment, stop_after_segments=a.stop_after_segments,
+                       **_sieve(a))
+    except sums.RunInterrupted:
+        print(f"run interrupted after {a.stop_after_segments} segments; "
+              f"checkpoint saved at {ckpt_path}")
+        return None
+    elapsed = time.perf_counter() - started
+    final = snaps[-1]
+    rows = [[s.limit_reached, verify.format_float(s.value), s.terms] for s in snaps]
+    return Output(SNAPSHOT_FIELDS, rows, [
+        f"{a.command}: {a.mode} limit {a.limit}, value {verify.format_float(final.value)}, "
+        f"terms {final.terms} ({elapsed:.2f}s)"
+    ])
+
+
+# ---------------------------------------------------------------------------
+# The command table: each command's help, arguments and run function
+
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+class Command(NamedTuple):
+    help: str
+    args: tuple[tuple[tuple[str, ...], dict], ...]
+    run: Callable[[argparse.Namespace], Output | None]
+
+
+_COMMON = (
+    _arg("--workers", type=int, help="worker processes (GAPSUM_WORKERS overrides)"),
+    _arg("--segment-size", type=parse_count, dest="segment_slots",
+         help="odd slots per sieve segment (power of two)"),
+    _arg("--format", choices=("csv", "json"), default="csv", dest="output_format"),
+    _arg("--output", dest="output_path"),
+)
+_LIMIT = _arg("--limit", type=parse_count, required=True)
+_MODE = _arg("--mode", choices=("prime", "index"), default="prime")
+_C = _arg("--c", type=float, required=True)
+_D = _arg("--d", type=parse_count, required=True)
+_D_LIST = _arg("--d-list", type=parse_int_list, required=True)
+_TRUNCATION = _arg("--truncation", type=parse_count, default=singular.DEFAULT_TRUNCATION)
+_STREAM = (
+    _arg("--snapshot-grid", type=parse_grid),
+    _arg("--checkpoint-dir"),
+    _arg("--resume"),
+    _arg("--stop-after-segments", type=int,
+         help="testing hook: stop after N segments, keeping the checkpoint"),
+)
+
+COMMANDS = {
+    "sieve-stats": Command("prime count and largest prime up to a limit", (_LIMIT,), _sieve_stats),
+    "gaps-histogram": Command("histogram of consecutive gaps", (_LIMIT,), _gaps_histogram),
+    "weighted-sum": Command(
+        "sum of log^alpha(d_n)/d_n over the gap stream",
+        (_LIMIT, _arg("--alpha", type=float, default=0.0), _MODE,
+         _arg("--start-index", type=parse_count), *_STREAM),
+        _weighted_sum,
+    ),
+    "en-sum": Command(
+        "sum of 1/(d_n n (loglog n)^c), n from 3",
+        (_arg("--limit", type=parse_count, required=True, help="index limit"), _C, *_STREAM),
+        _en_sum,
+    ),
+    "singular-pair": Command("S({0,d})", (_D,), lambda a: _singular(
+        "singular_pair", {"d": a.d}, singular.pair_singular(a.d), f"S({{0,{a.d}}})")),
+    "singular-tuple": Command(
+        "S(H) for a general tuple",
+        (_arg("--offsets", type=parse_int_list, required=True,
+              help="comma separated, starting at 0"), _TRUNCATION),
+        lambda a: _singular("singular_tuple", {"offsets": a.offsets, "P": a.truncation},
+                            singular.tuple_singular(tuple(a.offsets), a.truncation),
+                            f"S({tuple(a.offsets)})"),
+    ),
+    "verify-lemma21": Command(
+        "pair singular sum error curve", (_arg("--grid", type=parse_grid, required=True),),
+        lambda a: _reports(verify.lemma21_error_curve(a.grid)),
+    ),
+    "verify-lemma22": Command(
+        "triple row sums against d * S({0,d})", (_D_LIST, _TRUNCATION),
+        lambda a: _reports(verify.lemma22_ratio_curve(a.d_list, a.truncation)),
+    ),
+    "verify-conjecture1": Command(
+        "pair counts against the conjectural main term", (_LIMIT, _D_LIST),
+        lambda a: _reports(verify.conjecture1_ratio(a.limit, a.d_list, **_sieve(a))),
+    ),
+    "verify-sieve-bound": Command(
+        "triple counts against the sieve upper bound",
+        (_LIMIT, _arg("--samples", type=parse_samples,
+                      help="h:d pairs; default picks 20 admissible with d <= 50")),
+        _sieve_bound,
+    ),
+    "verify-theorem1": Command(
+        "weighted sum against its main term",
+        (_LIMIT, _arg("--alpha", type=float, required=True), _MODE),
+        lambda a: _reports([verify.theorem1_ratio(a.limit, a.alpha, a.mode, **_sieve(a))]),
+    ),
+    "verify-corollary": Command(
+        "damped reciprocal series against its main term", (_LIMIT, _C),
+        lambda a: _reports([verify.corollary_ratio(a.limit, a.c, **_sieve(a))]),
+    ),
+    "sandwich": Command("inclusion-exclusion bracket for one gap value", (_LIMIT, _D), _sandwich),
+}
+
+
+# ---------------------------------------------------------------------------
+# Argument parsing and the entry point
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -194,82 +338,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gapsum", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (GAPSUM_WORKERS overrides)")
-        p.add_argument("--segment-size", type=parse_count, default=None, dest="segment_slots",
-                       help="odd slots per sieve segment (power of two)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       dest="output_format")
-        p.add_argument("--output", default=None, dest="output_path")
-        return p
-
-    p = add("sieve-stats", help="prime count and largest prime up to a limit")
-    p.add_argument("--limit", type=parse_count, required=True)
-
-    p = add("gaps-histogram", help="histogram of consecutive gaps")
-    p.add_argument("--limit", type=parse_count, required=True)
-
-    p = add("weighted-sum", help="sum of log^alpha(d_n)/d_n over the gap stream")
-    p.add_argument("--limit", type=parse_count, required=True)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--mode", choices=("prime", "index"), default="prime")
-    p.add_argument("--start-index", type=parse_count, default=None, dest="start_index")
-    p.add_argument("--snapshot-grid", type=parse_grid, default=None, dest="snapshot_grid")
-    p.add_argument("--checkpoint-dir", default=None, dest="checkpoint_dir")
-    p.add_argument("--resume", default=None)
-    p.add_argument("--stop-after-segments", type=int, default=None,
-                   dest="stop_after_segments",
-                   help="testing hook: stop after N segments, keeping the checkpoint")
-
-    p = add("en-sum", help="sum of 1/(d_n n (loglog n)^c), n from 3")
-    p.add_argument("--limit", type=parse_count, required=True, help="index limit")
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--snapshot-grid", type=parse_grid, default=None, dest="snapshot_grid")
-    p.add_argument("--checkpoint-dir", default=None, dest="checkpoint_dir")
-    p.add_argument("--resume", default=None)
-    p.add_argument("--stop-after-segments", type=int, default=None,
-                   dest="stop_after_segments")
-
-    p = add("singular-pair", help="S({0,d})")
-    p.add_argument("--d", type=parse_count, required=True)
-
-    p = add("singular-tuple", help="S(H) for a general tuple")
-    p.add_argument("--offsets", type=parse_int_list, required=True,
-                   help="comma separated, starting at 0")
-    p.add_argument("--truncation", type=parse_count, default=singular.DEFAULT_TRUNCATION)
-
-    p = add("verify-lemma21", help="pair singular sum error curve")
-    p.add_argument("--grid", type=parse_grid, required=True)
-
-    p = add("verify-lemma22", help="triple row sums against d * S({0,d})")
-    p.add_argument("--d-list", type=parse_int_list, required=True, dest="d_list")
-    p.add_argument("--truncation", type=parse_count, default=singular.DEFAULT_TRUNCATION)
-
-    p = add("verify-conjecture1", help="pair counts against the conjectural main term")
-    p.add_argument("--limit", type=parse_count, required=True)
-    p.add_argument("--d-list", type=parse_int_list, required=True, dest="d_list")
-
-    p = add("verify-sieve-bound", help="triple counts against the sieve upper bound")
-    p.add_argument("--limit", type=parse_count, required=True)
-    p.add_argument("--samples", type=parse_samples, default=None,
-                   help="h:d pairs; default picks 20 admissible with d <= 50")
-
-    p = add("verify-theorem1", help="weighted sum against its main term")
-    p.add_argument("--limit", type=parse_count, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--mode", choices=("prime", "index"), default="prime")
-
-    p = add("verify-corollary", help="damped reciprocal series against its main term")
-    p.add_argument("--limit", type=parse_count, required=True)
-    p.add_argument("--c", type=float, required=True)
-
-    p = add("sandwich", help="inclusion-exclusion bracket for one gap value")
-    p.add_argument("--limit", type=parse_count, required=True)
-    p.add_argument("--d", type=parse_count, required=True)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flags, kwargs in _COMMON + command.args:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -283,207 +355,21 @@ def _resolve_workers(cli_value: int | None) -> int:
     return engine.default_workers()
 
 
-# ---------------------------------------------------------------------------
-# Command implementations
-
-def _streaming_config(cfg: RunConfig, mode: str, limit: int) -> dict:
-    semantic = {
-        "command": cfg.command,
-        "mode": mode,
-        "limit": limit,
-        "segment_slots": engine.effective_segment_slots(limit, cfg.segment_slots),
-        "snapshot_grid": cfg.snapshot_grid,
-        "alpha": cfg.alpha,
-        "c": cfg.c,
-        "start_index": cfg.start_index,
-    }
-    return semantic
-
-
-def _run_streaming(cfg: RunConfig) -> int:
-    if cfg.command == "weighted-sum":
-        mode = cfg.mode
-        start = cfg.start_index
-        if start is None:
-            start = 2 if cfg.alpha < 0 else 1
-        cfg.start_index = start
-        weight = sums.WeightSpec(cfg.alpha, start)
-        runner = lambda **kw: sums.weighted_gap_sum_series(
-            weight,
-            **{f"{mode}_limit": cfg.limit},
-            **kw,
-        )
-    else:
-        mode = "index"
-        cfg.start_index = 3
-        runner = lambda **kw: sums.erdos_nathanson_series(cfg.limit, cfg.c, **kw)
-
-    grid = cfg.snapshot_grid
-    if grid is None:
-        grid = sums.default_snapshot_grid(cfg.limit)
-        cfg.snapshot_grid = grid
-    digest = checkpoint.config_digest(_streaming_config(cfg, mode, cfg.limit))
-
-    resume_state = None
-    if cfg.resume:
-        ck = checkpoint.load(cfg.resume)
-        checkpoint.verify_match(ck, mode, cfg.limit, digest)
-        resume_state = ck.state
-
-    on_segment = None
-    ckpt_path = None
-    if cfg.checkpoint_dir:
-        os.makedirs(cfg.checkpoint_dir, exist_ok=True)
-        ckpt_path = os.path.join(cfg.checkpoint_dir, f"gapsum-{cfg.command}.ckpt")
-        on_segment = lambda st: checkpoint.save(
-            ckpt_path, checkpoint.Checkpoint(mode, cfg.limit, st, digest)
-        )
-    if cfg.stop_after_segments is not None and ckpt_path is None:
-        raise ValidationError("--stop-after-segments requires --checkpoint-dir")
-
-    started = time.perf_counter()
-    try:
-        snaps = runner(
-            snapshot_limits=grid,
-            workers=cfg.workers,
-            segment_slots=cfg.segment_slots,
-            resume=resume_state,
-            on_segment=on_segment,
-            stop_after_segments=cfg.stop_after_segments,
-        )
-    except sums.RunInterrupted:
-        print(f"run interrupted after {cfg.stop_after_segments} segments; "
-              f"checkpoint saved at {ckpt_path}")
-        return 0
-    elapsed = time.perf_counter() - started
-    path = write_rows(cfg, SNAPSHOT_FIELDS, snapshot_rows(snaps))
-    final = snaps[-1]
-    print(f"{cfg.command}: {mode} limit {cfg.limit}, "
-          f"value {verify.format_float(final.value)}, terms {final.terms} "
-          f"({elapsed:.2f}s)")
-    if cfg.command == "en-sum" and cfg.c > 2:
-        print(f"heuristic tail estimate (c > 2): "
-              f"{verify.format_float(sums.en_heuristic_tail(cfg.limit, cfg.c))}")
-    print(f"report written to {path}")
-    return 0
-
-
-def _run_command(cfg: RunConfig) -> int:
-    if cfg.command in ("weighted-sum", "en-sum"):
-        return _run_streaming(cfg)
-
-    if cfg.command == "sieve-stats":
-        started = time.perf_counter()
-        count = engine.prime_count(cfg.limit, workers=cfg.workers,
-                                   segment_slots=cfg.segment_slots)
-        elapsed = time.perf_counter() - started
-        rows = [[cfg.limit, verify.format_float(float(count)), count]]
-        path = write_rows(cfg, SNAPSHOT_FIELDS, rows)
-        print(f"pi({cfg.limit}) = {count} ({elapsed:.2f}s)")
-        print(f"report written to {path}")
-        return 0
-
-    if cfg.command == "gaps-histogram":
-        hist = engine.consecutive_gap_counts(cfg.limit, workers=cfg.workers,
-                                             segment_slots=cfg.segment_slots)
-        reports = [
-            verify.VerificationReport(
-                "gap_histogram", {"X": cfg.limit, "d": d}, float(c), None, None, ""
-            )
-            for d, c in sorted(hist.counts.items())
-        ]
-        path = write_rows(cfg, REPORT_FIELDS, report_rows(reports))
-        print(f"gaps-histogram: {len(hist.counts)} distinct gaps, "
-              f"span {hist.total_span()}")
-        print(f"report written to {path}")
-        return 0
-
-    if cfg.command == "singular-pair":
-        sv = singular.pair_singular(cfg.d)
-        reports = [verify.VerificationReport(
-            "singular_pair", {"d": cfg.d}, sv.value, None, None,
-            f"abs_error={verify.format_float(sv.abs_error)}",
-        )]
-        path = write_rows(cfg, REPORT_FIELDS, report_rows(reports))
-        print(f"S({{0,{cfg.d}}}) = {verify.format_float(sv.value)} "
-              f"(+/- {verify.format_float(sv.abs_error)})")
-        print(f"report written to {path}")
-        return 0
-
-    if cfg.command == "singular-tuple":
-        sv = singular.tuple_singular(tuple(cfg.offsets), cfg.truncation)
-        reports = [verify.VerificationReport(
-            "singular_tuple",
-            {"offsets": list(cfg.offsets), "P": cfg.truncation},
-            sv.value, None, None,
-            f"abs_error={verify.format_float(sv.abs_error)}",
-        )]
-        path = write_rows(cfg, REPORT_FIELDS, report_rows(reports))
-        print(f"S({tuple(cfg.offsets)}) = {verify.format_float(sv.value)} "
-              f"(+/- {verify.format_float(sv.abs_error)})")
-        print(f"report written to {path}")
-        return 0
-
-    if cfg.command == "sandwich":
-        res = sums.sandwich_check(cfg.limit, cfg.d, workers=cfg.workers,
-                                  segment_slots=cfg.segment_slots)
-        reports = [verify.VerificationReport(
-            "sandwich", {"X": cfg.limit, "d": cfg.d}, float(res.middle), None, None,
-            f"lower={res.lower};upper={res.upper};ok={res.ok}",
-        )]
-        path = write_rows(cfg, REPORT_FIELDS, report_rows(reports))
-        print(f"sandwich X={cfg.limit} d={cfg.d}: "
-              f"{res.lower} <= {res.middle} <= {res.upper} (ok={res.ok})")
-        print(f"report written to {path}")
-        return 0
-
-    # Verification commands share the report flow.
-    if cfg.command == "verify-lemma21":
-        reports = verify.lemma21_error_curve(cfg.grid)
-    elif cfg.command == "verify-lemma22":
-        reports = verify.lemma22_ratio_curve(cfg.d_list, cfg.truncation)
-    elif cfg.command == "verify-conjecture1":
-        reports = verify.conjecture1_ratio(cfg.limit, cfg.d_list, workers=cfg.workers,
-                                           segment_slots=cfg.segment_slots)
-    elif cfg.command == "verify-sieve-bound":
-        samples = cfg.samples or verify.default_sieve_samples()
-        cfg.samples = samples
-        reports = verify.sieve_bound_check(cfg.limit, samples, workers=cfg.workers,
-                                           segment_slots=cfg.segment_slots)
-    elif cfg.command == "verify-theorem1":
-        reports = [verify.theorem1_ratio(cfg.limit, cfg.alpha, cfg.mode,
-                                         workers=cfg.workers,
-                                         segment_slots=cfg.segment_slots)]
-    elif cfg.command == "verify-corollary":
-        reports = [verify.corollary_ratio(cfg.limit, cfg.c, workers=cfg.workers,
-                                          segment_slots=cfg.segment_slots)]
-    else:
-        raise ValidationError(f"unknown command {cfg.command!r}")
-
-    path = write_rows(cfg, REPORT_FIELDS, report_rows(reports))
-    for r in reports:
-        ratio = "n/a" if r.ratio is None else f"{r.ratio:.6f}"
-        print(f"{r.claim} {r.params}: empirical={r.empirical:.6g} ratio={ratio} {r.notes}")
-    print(f"report written to {path}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = RunConfig(command=args.command)
-        for key, value in vars(args).items():
-            if key != "command" and hasattr(cfg, key):
-                setattr(cfg, key, value)
-        cfg.workers = _resolve_workers(args.workers)
-        return _run_command(cfg)
+        args.workers = _resolve_workers(args.workers)
+        out = COMMANDS[args.command].run(args)
+        if out is not None:
+            path = write_rows(args, out.fields, out.rows)
+            for line in out.lines:
+                print(line)
+            print(f"report written to {path}")
+        return 0
     except (CapacityError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CheckpointError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except GapsumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
