@@ -25,6 +25,8 @@ import json
 import os
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
+from decimal import Decimal, InvalidOperation
 from typing import Callable, NamedTuple
 
 from . import checkpoint, engine, singular, sums, verify
@@ -35,17 +37,20 @@ REPORT_FIELDS = ["claim", "params_json", "empirical", "predicted", "ratio", "not
 
 
 def parse_count(text: str) -> int:
-    """Integer limits with scientific notation and underscores (1e9, 1_000_000)."""
-    cleaned = text.replace("_", "")
+    """Integer limits with scientific notation and underscores (1e9, 1_000_000).
+
+    Parsed exactly, never through a float.  A value beyond 2^63 - 1 is
+    refused before the integer is built, so '1e1000000000' costs nothing.
+    """
     try:
-        if any(ch in cleaned for ch in ".eE"):
-            value = float(cleaned)
-            if not value.is_integer():
-                raise ValueError
-            return int(value)
-        return int(cleaned)
-    except (ValueError, OverflowError) as exc:
-        raise ValidationError(f"cannot parse {text!r} as an integer count") from exc
+        value = Decimal(text.replace("_", ""))
+    except InvalidOperation:
+        value = Decimal("NaN")
+    if value.is_finite() and value.copy_abs() > engine.CAPACITY_LIMIT:
+        raise CapacityError(f"count {text!r} exceeds the supported range 2^63 - 1")
+    if not value.is_finite() or value != value.to_integral_value():
+        raise ValidationError(f"cannot parse {text!r} as an integer count")
+    return int(value)
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -60,11 +65,9 @@ def parse_grid(text: str) -> list[int]:
         lo, hi = parse_count(parts[0]), parse_count(parts[1])
         if lo < 2 or hi < lo:
             raise ValidationError("grid bounds must satisfy 2 <= lo <= hi")
-        out = []
-        x = lo
-        while x <= hi:
-            out.append(x)
-            x *= 10
+        out = [lo]
+        while out[-1] * 10 <= hi:
+            out.append(out[-1] * 10)
         return out
     return parse_int_list(text)
 
@@ -72,9 +75,7 @@ def parse_grid(text: str) -> list[int]:
 def parse_samples(text: str) -> list[tuple[int, int]]:
     """Sieve-bound samples as 'h:d,h:d,...'."""
     out = []
-    for part in text.split(","):
-        if not part:
-            continue
+    for part in filter(None, text.split(",")):
         h, _, d = part.partition(":")
         if not d:
             raise ValidationError("samples must look like 'h:d,h:d'")
@@ -83,7 +84,7 @@ def parse_samples(text: str) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Output writing
+# Command implementations
 
 class Output(NamedTuple):
     """What a command reports: the file's columns and rows, and its stdout summary."""
@@ -117,12 +118,10 @@ def _reports(reports: list[verify.VerificationReport], lines: list[str] | None =
         lines = []
         for r in reports:
             ratio = "n/a" if r.ratio is None else f"{r.ratio:.6f}"
-            lines.append(f"{r.claim} {r.params}: empirical={r.empirical:.6g} ratio={ratio} {r.notes}")
+            lines.append(f"{r.claim} {r.params}: empirical={r.empirical:.6g} "
+                         f"ratio={ratio} {r.notes}")
     return Output(REPORT_FIELDS, [r.to_csv_row() for r in reports], lines)
 
-
-# ---------------------------------------------------------------------------
-# Command implementations
 
 def _sieve(a: argparse.Namespace) -> dict:
     return {"workers": a.workers, "segment_slots": a.segment_slots}
@@ -191,14 +190,10 @@ def _stream(a: argparse.Namespace, runner: Callable[..., list[sums.SumSnapshot]]
     # The semantic configuration a checkpoint must match; the worker count
     # is left out because it cannot affect results.
     digest = checkpoint.config_digest({
-        "command": a.command,
-        "mode": a.mode,
-        "limit": a.limit,
+        "command": a.command, "mode": a.mode, "limit": a.limit, "start_index": a.start_index,
+        "alpha": getattr(a, "alpha", None), "c": getattr(a, "c", None),
         "segment_slots": engine.effective_segment_slots(a.limit, a.segment_slots),
         "snapshot_grid": a.snapshot_grid,
-        "alpha": getattr(a, "alpha", None),
-        "c": getattr(a, "c", None),
-        "start_index": a.start_index,
     })
 
     resume_state = None
@@ -229,98 +224,79 @@ def _stream(a: argparse.Namespace, runner: Callable[..., list[sums.SumSnapshot]]
     elapsed = time.perf_counter() - started
     final = snaps[-1]
     rows = [[s.limit_reached, verify.format_float(s.value), s.terms] for s in snaps]
-    return Output(SNAPSHOT_FIELDS, rows, [
-        f"{a.command}: {a.mode} limit {a.limit}, value {verify.format_float(final.value)}, "
-        f"terms {final.terms} ({elapsed:.2f}s)"
-    ])
+    summary = (f"{a.command}: {a.mode} limit {a.limit}, value {verify.format_float(final.value)}, "
+               f"terms {final.terms} ({elapsed:.2f}s)")
+    return Output(SNAPSHOT_FIELDS, rows, [summary])
 
 
 # ---------------------------------------------------------------------------
-# The command table: each command's help, arguments and run function
-
-def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
-    return flags, kwargs
-
+# The command table: each command's help, arguments (flag -> add_argument
+# keywords) and run function
 
 class Command(NamedTuple):
     help: str
-    args: tuple[tuple[tuple[str, ...], dict], ...]
+    args: dict[str, dict]
     run: Callable[[argparse.Namespace], Output | None]
 
 
-_COMMON = (
-    _arg("--workers", type=int, help="worker processes (GAPSUM_WORKERS overrides)"),
-    _arg("--segment-size", type=parse_count, dest="segment_slots",
-         help="odd slots per sieve segment (power of two)"),
-    _arg("--format", choices=("csv", "json"), default="csv", dest="output_format"),
-    _arg("--output", dest="output_path"),
-)
-_LIMIT = _arg("--limit", type=parse_count, required=True)
-_MODE = _arg("--mode", choices=("prime", "index"), default="prime")
-_C = _arg("--c", type=float, required=True)
-_D = _arg("--d", type=parse_count, required=True)
-_D_LIST = _arg("--d-list", type=parse_int_list, required=True)
-_TRUNCATION = _arg("--truncation", type=parse_count, default=singular.DEFAULT_TRUNCATION)
-_STREAM = (
-    _arg("--snapshot-grid", type=parse_grid),
-    _arg("--checkpoint-dir"),
-    _arg("--resume"),
-    _arg("--stop-after-segments", type=int,
-         help="testing hook: stop after N segments, keeping the checkpoint"),
-)
+_COMMON = {
+    "--workers": dict(type=int, help="worker processes (GAPSUM_WORKERS overrides)"),
+    "--segment-size": dict(type=parse_count, dest="segment_slots",
+                           help="odd slots per sieve segment (power of two)"),
+    "--format": dict(choices=("csv", "json"), default="csv", dest="output_format"),
+    "--output": dict(dest="output_path"),
+}
+_COUNT = dict(type=parse_count, required=True)
+_FLOAT = dict(type=float, required=True)
+_LIST = dict(type=parse_int_list, required=True)
+_MODE = dict(choices=("prime", "index"), default="prime")
+_TRUNCATION = dict(type=parse_count, default=singular.DEFAULT_TRUNCATION)
+_STREAM = {
+    "--snapshot-grid": dict(type=parse_grid),
+    "--checkpoint-dir": {},
+    "--resume": {},
+    "--stop-after-segments": dict(
+        type=int, help="testing hook: stop after N segments, keeping the checkpoint"),
+}
 
 COMMANDS = {
-    "sieve-stats": Command("prime count and largest prime up to a limit", (_LIMIT,), _sieve_stats),
-    "gaps-histogram": Command("histogram of consecutive gaps", (_LIMIT,), _gaps_histogram),
-    "weighted-sum": Command(
-        "sum of log^alpha(d_n)/d_n over the gap stream",
-        (_LIMIT, _arg("--alpha", type=float, default=0.0), _MODE,
-         _arg("--start-index", type=parse_count), *_STREAM),
-        _weighted_sum,
-    ),
-    "en-sum": Command(
-        "sum of 1/(d_n n (loglog n)^c), n from 3",
-        (_arg("--limit", type=parse_count, required=True, help="index limit"), _C, *_STREAM),
-        _en_sum,
-    ),
-    "singular-pair": Command("S({0,d})", (_D,), lambda a: _singular(
+    "sieve-stats": Command("prime count and largest prime up to a limit",
+                           {"--limit": _COUNT}, _sieve_stats),
+    "gaps-histogram": Command("histogram of consecutive gaps",
+                              {"--limit": _COUNT}, _gaps_histogram),
+    "weighted-sum": Command("sum of log^alpha(d_n)/d_n over the gap stream", {
+        "--limit": _COUNT, "--alpha": dict(type=float, default=0.0), "--mode": _MODE,
+        "--start-index": dict(type=parse_count), **_STREAM}, _weighted_sum),
+    "en-sum": Command("sum of 1/(d_n n (loglog n)^c), n from 3", {
+        "--limit": dict(_COUNT, help="index limit"), "--c": _FLOAT, **_STREAM}, _en_sum),
+    "singular-pair": Command("S({0,d})", {"--d": _COUNT}, lambda a: _singular(
         "singular_pair", {"d": a.d}, singular.pair_singular(a.d), f"S({{0,{a.d}}})")),
-    "singular-tuple": Command(
-        "S(H) for a general tuple",
-        (_arg("--offsets", type=parse_int_list, required=True,
-              help="comma separated, starting at 0"), _TRUNCATION),
-        lambda a: _singular("singular_tuple", {"offsets": a.offsets, "P": a.truncation},
-                            singular.tuple_singular(tuple(a.offsets), a.truncation),
-                            f"S({tuple(a.offsets)})"),
-    ),
-    "verify-lemma21": Command(
-        "pair singular sum error curve", (_arg("--grid", type=parse_grid, required=True),),
-        lambda a: _reports(verify.lemma21_error_curve(a.grid)),
-    ),
-    "verify-lemma22": Command(
-        "triple row sums against d * S({0,d})", (_D_LIST, _TRUNCATION),
-        lambda a: _reports(verify.lemma22_ratio_curve(a.d_list, a.truncation)),
-    ),
-    "verify-conjecture1": Command(
-        "pair counts against the conjectural main term", (_LIMIT, _D_LIST),
-        lambda a: _reports(verify.conjecture1_ratio(a.limit, a.d_list, **_sieve(a))),
-    ),
-    "verify-sieve-bound": Command(
-        "triple counts against the sieve upper bound",
-        (_LIMIT, _arg("--samples", type=parse_samples,
-                      help="h:d pairs; default picks 20 admissible with d <= 50")),
-        _sieve_bound,
-    ),
-    "verify-theorem1": Command(
-        "weighted sum against its main term",
-        (_LIMIT, _arg("--alpha", type=float, required=True), _MODE),
-        lambda a: _reports([verify.theorem1_ratio(a.limit, a.alpha, a.mode, **_sieve(a))]),
-    ),
-    "verify-corollary": Command(
-        "damped reciprocal series against its main term", (_LIMIT, _C),
-        lambda a: _reports([verify.corollary_ratio(a.limit, a.c, **_sieve(a))]),
-    ),
-    "sandwich": Command("inclusion-exclusion bracket for one gap value", (_LIMIT, _D), _sandwich),
+    "singular-tuple": Command("S(H) for a general tuple", {
+        "--offsets": dict(_LIST, help="comma separated, starting at 0"),
+        "--truncation": _TRUNCATION}, lambda a: _singular(
+            "singular_tuple", {"offsets": a.offsets, "P": a.truncation},
+            singular.tuple_singular(tuple(a.offsets), a.truncation), f"S({tuple(a.offsets)})")),
+    "verify-lemma21": Command("pair singular sum error curve", {
+        "--grid": dict(type=parse_grid, required=True)},
+        lambda a: _reports(verify.lemma21_error_curve(a.grid))),
+    "verify-lemma22": Command("triple row sums against d * S({0,d})", {
+        "--d-list": _LIST, "--truncation": _TRUNCATION},
+        lambda a: _reports(verify.lemma22_ratio_curve(a.d_list, a.truncation))),
+    "verify-conjecture1": Command("pair counts against the conjectural main term", {
+        "--limit": _COUNT, "--d-list": _LIST},
+        lambda a: _reports(verify.conjecture1_ratio(a.limit, a.d_list, **_sieve(a)))),
+    "verify-sieve-bound": Command("triple counts against the sieve upper bound", {
+        "--limit": _COUNT, "--samples": dict(
+            type=parse_samples, help="h:d pairs; default picks 20 admissible with d <= 50")},
+        _sieve_bound),
+    "verify-theorem1": Command("weighted sum against its main term", {
+        "--limit": _COUNT, "--alpha": _FLOAT, "--mode": _MODE},
+        lambda a: _reports([verify.theorem1_ratio(a.limit, a.alpha, a.mode, **_sieve(a))])),
+    "verify-corollary": Command("damped reciprocal series against its main term", {
+        "--limit": _COUNT, "--c": _FLOAT},
+        lambda a: _reports([verify.corollary_ratio(a.limit, a.c, **_sieve(a))])),
+    "sandwich": Command("inclusion-exclusion bracket for one gap value",
+                        {"--limit": _COUNT, "--d": _COUNT}, _sandwich),
 }
 
 
@@ -340,26 +316,19 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        for flags, kwargs in _COMMON + command.args:
-            p.add_argument(*flags, **kwargs)
+        for flag, kwargs in {**_COMMON, **command.args}.items():
+            p.add_argument(flag, **kwargs)
     return parser
-
-
-def _resolve_workers(cli_value: int | None) -> int:
-    if os.environ.get("GAPSUM_WORKERS"):
-        return engine.default_workers()
-    if cli_value is not None:
-        if cli_value < 1:
-            raise ValidationError("--workers must be >= 1")
-        return cli_value
-    return engine.default_workers()
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.workers = _resolve_workers(args.workers)
+        if args.workers is None or os.environ.get("GAPSUM_WORKERS"):
+            args.workers = engine.default_workers()
+        elif args.workers < 1:
+            raise ValidationError("--workers must be >= 1")
         out = COMMANDS[args.command].run(args)
         if out is not None:
             path = write_rows(args, out.fields, out.rows)
@@ -367,8 +336,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(line)
             print(f"report written to {path}")
         return 0
-    except (CapacityError, PrecisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapacityError, PrecisionError, BrokenProcessPool, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except GapsumError as exc:
         print(f"error: {exc}", file=sys.stderr)

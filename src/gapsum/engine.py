@@ -417,18 +417,29 @@ def _normalize_offsets(h) -> tuple[int, ...]:
     return offsets
 
 
-def _is_prime_small(n: int) -> bool:
+# Deterministic Miller-Rabin, valid for all 64-bit inputs.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -455,7 +466,7 @@ def tuple_counts(
         elif len(offsets) == 1:
             results[j] = prime_count(limit, workers=workers, segment_slots=segment_slots)
         elif any(h % 2 for h in offsets):
-            results[j] = int(all(_is_prime_small(2 + h) for h in offsets))
+            results[j] = int(all(_is_prime(2 + h) for h in offsets))
         else:
             even_idx.append(j)
     if even_idx:

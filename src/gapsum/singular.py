@@ -62,14 +62,7 @@ class TupleSpec:
     offsets: tuple[int, ...]
 
     def __post_init__(self):
-        offsets = tuple(int(x) for x in self.offsets)
-        if not offsets:
-            raise ValidationError("tuple offsets must be non-empty")
-        if offsets[0] != 0:
-            raise ValidationError("tuple offsets must start at 0")
-        if any(b <= a for a, b in zip(offsets, offsets[1:])):
-            raise ValidationError("tuple offsets must be strictly increasing")
-        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "offsets", engine._normalize_offsets(self.offsets))
 
     @classmethod
     def from_integers(cls, values: Iterable[int]) -> "TupleSpec":
@@ -94,7 +87,8 @@ class TupleSpec:
         Primes p > k can never be covered (v <= k < p), so only p <= k
         need checking.
         """
-        return all(self.residues(p) < p for p in _primes_upto(self.k))
+        small = filter(engine._is_prime, range(2, self.k + 1))
+        return all(self.residues(p) < p for p in small)
 
     def pairwise_differences(self) -> list[int]:
         off = self.offsets
@@ -107,43 +101,9 @@ def _coerce_tuple(h) -> TupleSpec:
     return TupleSpec(tuple(h))
 
 
-def _primes_upto(n: int) -> list[int]:
-    out = []
-    for p in range(2, n + 1):
-        if all(p % q for q in out):
-            out.append(p)
-    return out
-
-
-# Deterministic Miller-Rabin, valid for all 64-bit inputs.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = (d & -d).bit_length() - 1
-    d >>= r
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def residue_count(h, p: int) -> int:
     """v_H(p): the number of distinct residue classes of H modulo p."""
-    if not _is_prime(int(p)):
+    if not engine._is_prime(int(p)):
         raise ValidationError(f"modulus {p} is not prime")
     return _coerce_tuple(h).residues(int(p))
 
@@ -472,7 +432,7 @@ def tuple_singular(h, truncation: int = DEFAULT_TRUNCATION) -> SingularValue:
     if not spec.admissible:
         return SingularValue(0.0, 0.0, 0)
     value = 1.0
-    for p in _primes_upto(k):
+    for p in filter(engine._is_prime, range(2, k + 1)):
         v = spec.residues(p)
         value *= (1.0 - v / p) * (1.0 - 1.0 / p) ** -k
     gen, gen_err = _generic_product(k)

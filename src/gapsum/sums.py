@@ -16,11 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import engine, singular
-from .errors import (
-    EmptyDomainError,
-    UnsupportedExponentError,
-    ValidationError,
-)
+from .errors import UnsupportedExponentError, ValidationError
 
 
 class RunInterrupted(Exception):
@@ -45,6 +41,8 @@ class WeightSpec:
     start_index: int = 1
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValidationError(f"alpha must be finite, got {self.alpha}")
         if self.alpha < -1:
             raise UnsupportedExponentError("alpha must satisfy alpha >= -1")
         if self.start_index < 1:
@@ -255,13 +253,9 @@ def weighted_gap_sum_series(
         raise ValidationError("exactly one of prime_limit and index_limit is required")
     evaluate, start_index = _coerce_weight(weight)
     if prime_limit is not None:
-        mode, limit = "prime", int(prime_limit)
-        if limit < 3:
-            raise EmptyDomainError("prime_limit must be >= 3")
+        mode, limit = "prime", engine._check_limit(prime_limit, 3, "prime_limit")
     else:
-        mode, limit = "index", int(index_limit)
-        if limit < 1:
-            raise EmptyDomainError("index_limit must be >= 1")
+        mode, limit = "index", engine._check_limit(index_limit, 1, "index_limit")
     return accumulate_terms(
         lambda gaps, n_idx: evaluate(gaps),
         mode=mode,
@@ -308,10 +302,10 @@ def erdos_nathanson_series(
     stop_after_segments: int | None = None,
 ) -> list[SumSnapshot]:
     """Snapshots of sum_{3 <= n <= N} 1 / (d_n n (loglog n)^c)."""
-    index_limit = int(index_limit)
-    if index_limit < 3:
-        raise EmptyDomainError("the series starts at n = 3")
+    index_limit = engine._check_limit(index_limit, 3, "index_limit")
     c = float(c)
+    if not math.isfinite(c):
+        raise ValidationError(f"c must be finite, got {c}")
 
     def terms(gaps: np.ndarray, n_idx: np.ndarray) -> np.ndarray:
         n = n_idx.astype(np.float64)
@@ -356,9 +350,7 @@ def range_split_sum(
     decomposition's reading leans on that monotonicity; for plain
     accumulation of larger alpha use ``weighted_gap_sum``).
     """
-    x = int(prime_limit)
-    if x < 16:
-        raise ValidationError("range split needs X >= 16 (loglog X > 1)")
+    x = engine._check_limit(prime_limit, 16, "prime_limit")
     if isinstance(weight, WeightSpec) and weight.alpha > 1:
         raise ValidationError("the range decomposition requires alpha <= 1")
     evaluate, start_index = _coerce_weight(weight)
@@ -396,11 +388,7 @@ def _scan_triple(limit: int, h: int, d: int) -> int:
     top = min(limit - d, _SANDWICH_SCAN_CUTOFF)
     count = 0
     for n in range(2, top + 1):
-        if (
-            engine._is_prime_small(n)
-            and engine._is_prime_small(n + h)
-            and engine._is_prime_small(n + d)
-        ):
+        if engine._is_prime(n) and engine._is_prime(n + h) and engine._is_prime(n + d):
             count += 1
     return count
 
@@ -420,11 +408,9 @@ def sandwich_check(
     ``ok`` is False only under an implementation bug.
     """
     d = int(d)
-    limit = int(limit)
     if d < 2 or d % 2:
         raise ValidationError("the sandwich is defined for even d >= 2")
-    if limit < d + 3:
-        raise EmptyDomainError(f"limit must be >= d + 3 = {d + 3}")
+    limit = engine._check_limit(limit, d + 3)
     admissible = []
     scanned = 0
     for h in range(1, d):

@@ -98,6 +98,8 @@ def main_term_theorem1(limit: int, alpha: float, mode: str) -> float:
     x = float(limit)
     if x < 16:
         raise ValidationError("main terms need X >= 16 (loglog X > 1)")
+    if not math.isfinite(alpha):
+        raise ValidationError(f"alpha must be finite, got {alpha}")
     if mode not in ("prime", "index"):
         raise ValidationError(f"mode must be 'prime' or 'index', got {mode!r}")
     log_x = math.log(x)
@@ -120,6 +122,8 @@ def main_term_corollary(limit: int, c: float) -> float | None:
     x = float(limit)
     if x < 16:
         raise ValidationError("main terms need X >= 16 (loglog X > 1)")
+    if not math.isfinite(c):
+        raise ValidationError(f"c must be finite, got {c}")
     ll = math.log(math.log(x))
     if c < 2:
         return ll ** (2 - c) / (2 - c)

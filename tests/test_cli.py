@@ -1,10 +1,11 @@
 import csv
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from gapsum import cli, singular, sums
-from gapsum.errors import ValidationError
+from gapsum import cli, engine, singular, sums
+from gapsum.errors import CapacityError, ValidationError
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -27,10 +28,16 @@ def test_parse_count():
     assert cli.parse_count("1e9") == 10**9
     assert cli.parse_count("1_000_000") == 10**6
     assert cli.parse_count("42") == 42
-    with pytest.raises(ValidationError):
-        cli.parse_count("1.5")
-    with pytest.raises(ValidationError):
-        cli.parse_count("ten")
+    # exact: through a float this came back as 1234567890123456768
+    assert cli.parse_count("123456789012345679e1") == 1234567890123456790
+    assert cli.parse_count("9223372036854775807") == 2**63 - 1
+    assert cli.parse_count("1.5e1") == 15
+    for bad in ("1.5", "ten", "inf", "nan", "1e-3"):
+        with pytest.raises(ValidationError):
+            cli.parse_count(bad)
+    for huge in ("9223372036854775808", "1e1000000000", "-1e1000000000"):
+        with pytest.raises(CapacityError):
+            cli.parse_count(huge)
 
 
 def test_parse_grid():
@@ -115,6 +122,30 @@ def test_capacity_error_exits_2(tmp_path, monkeypatch):
         ["sieve-stats", "--limit", "9300000000000000000"], tmp_path, monkeypatch
     )
     assert code == 2
+    assert run_cli(["sieve-stats", "--limit", "1e1000000000"], tmp_path, monkeypatch) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["weighted-sum", "--limit", "1000", "--alpha", "nan"],
+    ["weighted-sum", "--limit", "1000", "--alpha", "inf"],
+    ["en-sum", "--limit", "1000", "--c", "inf"],
+    ["verify-theorem1", "--limit", "1000", "--alpha", "nan"],
+    ["verify-corollary", "--limit", "1000", "--c", "nan"],
+])
+def test_non_finite_parameter_exits_1_and_leaves_no_file(args, tmp_path, monkeypatch):
+    assert run_cli(args + ["--workers", "1"], tmp_path, monkeypatch) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("failure", [BrokenProcessPool("worker died"), MemoryError()])
+def test_worker_failure_exits_2(failure, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(engine, "prime_count", fail)
+    assert run_cli(["sieve-stats", "--limit", "1e4"], tmp_path, monkeypatch) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sandwich_command(tmp_path, monkeypatch, capsys):

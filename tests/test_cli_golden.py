@@ -12,6 +12,7 @@ After an intended output change, re-record with
 
 import contextlib
 import io
+import os
 import pathlib
 import re
 import shutil
@@ -80,10 +81,15 @@ _ELAPSED = re.compile(r"\(\d+\.\d\ds\)")
 def run_case(name: str, workdir: pathlib.Path) -> dict[str, bytes]:
     """Run one case in ``workdir``; map each file it leaves (and stdout) to its bytes."""
     out = io.StringIO()
-    with contextlib.chdir(workdir), contextlib.redirect_stdout(out):
-        for argv in CASES[name]:
-            code = cli.main(argv + ["--workers", "1"])
-            assert code == 0, f"{argv} exited {code}"
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out):
+            for argv in CASES[name]:
+                code = cli.main(argv + ["--workers", "1"])
+                assert code == 0, f"{argv} exited {code}"
+    finally:
+        os.chdir(cwd)
     files = {
         p.relative_to(workdir).as_posix(): p.read_bytes()
         for p in sorted(workdir.rglob("*")) if p.is_file()
@@ -113,7 +119,6 @@ def test_golden_output(name, tmp_path, monkeypatch):
 
 
 def _record() -> None:
-    import os
     import tempfile
 
     os.environ.pop("GAPSUM_WORKERS", None)

@@ -24,6 +24,9 @@ def test_weight_validation():
         WeightSpec(-1.0)  # start_index must exclude d_1 = 1
     with pytest.raises(ValidationError):
         WeightSpec(0.0, 0)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            WeightSpec(alpha)
     WeightSpec(-1.0, 2)
     WeightSpec(1.0)
 
@@ -65,6 +68,20 @@ def test_weighted_sum_limit_validation():
         sums.weighted_gap_sum(WeightSpec(0.0), index_limit=0)
 
 
+def test_float_limits_refused():
+    # int() would quietly truncate 2500.7 to 2500
+    with pytest.raises(ValidationError):
+        sums.weighted_gap_sum(WeightSpec(0.0), prime_limit=2500.7)
+    with pytest.raises(ValidationError):
+        sums.weighted_gap_sum(WeightSpec(0.0), index_limit=2500.7)
+    with pytest.raises(ValidationError):
+        sums.erdos_nathanson_series(2500.7, 0.0)
+    with pytest.raises(ValidationError):
+        sums.range_split_sum(2500.7, WeightSpec(0.0))
+    with pytest.raises(ValidationError):
+        sums.sandwich_check(2500.7, 2)
+
+
 def test_en_sum_hand_values():
     assert sums.erdos_nathanson_sum(3, 0.0).value == pytest.approx(1 / 6, rel=1e-15)
     assert sums.erdos_nathanson_sum(4, 0.0).value == pytest.approx(1 / 6 + 1 / 16, rel=1e-15)
@@ -73,6 +90,9 @@ def test_en_sum_hand_values():
         assert sums.erdos_nathanson_sum(3, c).value == pytest.approx(expected, rel=1e-14)
     with pytest.raises(EmptyDomainError):
         sums.erdos_nathanson_sum(2, 0.0)
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            sums.erdos_nathanson_series(10, c)
 
 
 # ---------------------------------------------------------------------------

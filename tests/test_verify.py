@@ -105,6 +105,9 @@ def test_main_term_theorem1_formulas():
         verify.main_term_theorem1(x, -2.0, "prime")
     with pytest.raises(ValidationError):
         verify.main_term_theorem1(15, 0.0, "prime")
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            verify.main_term_theorem1(x, alpha, "prime")
 
 
 def test_main_term_corollary_cases():
@@ -113,6 +116,9 @@ def test_main_term_corollary_cases():
     assert verify.main_term_corollary(x, 0.0) == pytest.approx(ll**2 / 2)
     assert verify.main_term_corollary(x, 2.0) == pytest.approx(math.log(ll))
     assert verify.main_term_corollary(x, 3.0) is None
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            verify.main_term_corollary(x, c)
 
 
 def test_theorem1_smoke_x16():
