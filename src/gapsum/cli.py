@@ -123,20 +123,21 @@ def _reports(reports: list[verify.VerificationReport], lines: list[str] | None =
     return Output(REPORT_FIELDS, [r.to_csv_row() for r in reports], lines)
 
 
-def _sieve(a: argparse.Namespace) -> dict:
+def _sieve_kw(a: argparse.Namespace) -> dict:
+    """The sieve options every sieving command passes on."""
     return {"workers": a.workers, "segment_slots": a.segment_slots}
 
 
 def _sieve_stats(a: argparse.Namespace) -> Output:
     started = time.perf_counter()
-    count = engine.prime_count(a.limit, **_sieve(a))
+    count = engine.prime_count(a.limit, **_sieve_kw(a))
     elapsed = time.perf_counter() - started
     return Output(SNAPSHOT_FIELDS, [[a.limit, verify.format_float(float(count)), count]],
                   [f"pi({a.limit}) = {count} ({elapsed:.2f}s)"])
 
 
 def _gaps_histogram(a: argparse.Namespace) -> Output:
-    hist = engine.consecutive_gap_counts(a.limit, **_sieve(a))
+    hist = engine.consecutive_gap_counts(a.limit, **_sieve_kw(a))
     reports = [
         verify.VerificationReport("gap_histogram", {"X": a.limit, "d": d}, float(c), None, None, "")
         for d, c in sorted(hist.counts.items())
@@ -152,7 +153,7 @@ def _singular(claim: str, params: dict, sv: singular.SingularValue, label: str) 
 
 
 def _sandwich(a: argparse.Namespace) -> Output:
-    res = sums.sandwich_check(a.limit, a.d, **_sieve(a))
+    res = sums.sandwich_check(a.limit, a.d, **_sieve_kw(a))
     report = verify.VerificationReport(
         "sandwich", {"X": a.limit, "d": a.d}, float(res.middle), None, None,
         f"lower={res.lower};upper={res.upper};ok={res.ok}",
@@ -163,7 +164,7 @@ def _sandwich(a: argparse.Namespace) -> Output:
 
 def _sieve_bound(a: argparse.Namespace) -> Output:
     a.samples = a.samples or verify.default_sieve_samples()
-    return _reports(verify.sieve_bound_check(a.limit, a.samples, **_sieve(a)))
+    return _reports(verify.sieve_bound_check(a.limit, a.samples, **_sieve_kw(a)))
 
 
 def _weighted_sum(a: argparse.Namespace) -> Output | None:
@@ -216,7 +217,7 @@ def _stream(a: argparse.Namespace, runner: Callable[..., list[sums.SumSnapshot]]
     try:
         snaps = runner(snapshot_limits=a.snapshot_grid, resume=resume_state,
                        on_segment=on_segment, stop_after_segments=a.stop_after_segments,
-                       **_sieve(a))
+                       **_sieve_kw(a))
     except sums.RunInterrupted:
         print(f"run interrupted after {a.stop_after_segments} segments; "
               f"checkpoint saved at {ckpt_path}")
@@ -284,17 +285,17 @@ COMMANDS = {
         lambda a: _reports(verify.lemma22_ratio_curve(a.d_list, a.truncation))),
     "verify-conjecture1": Command("pair counts against the conjectural main term", {
         "--limit": _COUNT, "--d-list": _LIST},
-        lambda a: _reports(verify.conjecture1_ratio(a.limit, a.d_list, **_sieve(a)))),
+        lambda a: _reports(verify.conjecture1_ratio(a.limit, a.d_list, **_sieve_kw(a)))),
     "verify-sieve-bound": Command("triple counts against the sieve upper bound", {
         "--limit": _COUNT, "--samples": dict(
             type=parse_samples, help="h:d pairs; default picks 20 admissible with d <= 50")},
         _sieve_bound),
     "verify-theorem1": Command("weighted sum against its main term", {
         "--limit": _COUNT, "--alpha": _FLOAT, "--mode": _MODE},
-        lambda a: _reports([verify.theorem1_ratio(a.limit, a.alpha, a.mode, **_sieve(a))])),
+        lambda a: _reports([verify.theorem1_ratio(a.limit, a.alpha, a.mode, **_sieve_kw(a))])),
     "verify-corollary": Command("damped reciprocal series against its main term", {
         "--limit": _COUNT, "--c": _FLOAT},
-        lambda a: _reports([verify.corollary_ratio(a.limit, a.c, **_sieve(a))])),
+        lambda a: _reports([verify.corollary_ratio(a.limit, a.c, **_sieve_kw(a))])),
     "sandwich": Command("inclusion-exclusion bracket for one gap value",
                         {"--limit": _COUNT, "--d": _COUNT}, _sandwich),
 }
