@@ -30,11 +30,17 @@ from .errors import CapacityError, EmptyDomainError, ValidationError
 
 CAPACITY_LIMIT = 2**63 - 1
 
-# Default number of odd slots per segment: a 2^18-byte mask sits in L2.
-# For limits past 2^31 the slot count doubles per octave (capped) so the
-# per-segment dispatch overhead stays small relative to the marking work.
-DEFAULT_SEGMENT_SLOTS = 1 << 18
-_MAX_SEGMENT_SLOTS = 1 << 24
+# Default number of odd slots per segment, measured rather than sized to a
+# cache: each segment pays one Python-level slice assignment per base prime
+# (about sqrt(X)/log sqrt(X) of them), so a larger mask amortises that
+# dispatch until cache misses take over.  With one worker, pi(1e8) and
+# pi(1e9) were fastest at 2^20 slots and pi(1e10) at 2^21 (2^22 and 2^23
+# were slower); per-segment timings near 1e11 and 1e12 kept improving up to
+# 2^23.  So 2^20 slots below 2^33, then one doubling per two octaves of
+# the limit (as the base-prime count doubles): 2^21 from 2^33, 2^22 from
+# 2^35, 2^23 from 2^37 on.  The figures are in BENCH_sieve_kernel.json.
+DEFAULT_SEGMENT_SLOTS = 1 << 20
+_MAX_SEGMENT_SLOTS = 1 << 23
 
 _FIRST_ODD = 3
 
@@ -55,18 +61,15 @@ def default_workers() -> int:
 def effective_segment_slots(limit: int, segment_slots: int | None = None) -> int:
     """Resolve the per-segment odd-slot count for a run.
 
-    Explicit values must be a power of two.  The automatic choice grows
-    with the limit so that very long runs do not pay per-segment
-    dispatch overhead tens of thousands of times.
+    Explicit values must be a power of two.  The automatic choice is a
+    function of the limit only (see DEFAULT_SEGMENT_SLOTS).
     """
     if segment_slots is not None:
         if segment_slots < 1024 or segment_slots & (segment_slots - 1):
             raise ValidationError("segment_slots must be a power of two >= 1024")
         return segment_slots
-    slots = DEFAULT_SEGMENT_SLOTS
-    extra = max(0, int(limit).bit_length() - 31)
-    slots <<= extra
-    return min(slots, _MAX_SEGMENT_SLOTS)
+    extra = max(0, (int(limit).bit_length() - 32) // 2)
+    return min(DEFAULT_SEGMENT_SLOTS << extra, _MAX_SEGMENT_SLOTS)
 
 
 def _check_limit(limit: int, minimum: int, what: str = "limit") -> int:
@@ -95,25 +98,46 @@ def _odd_base_primes(limit: int) -> np.ndarray:
     return (np.flatnonzero(mask).astype(np.int64) << 1) + 1
 
 
+# Wheel pre-sieve: every segment mask starts as a copy of the odd numbers
+# prime to 3*5*7*11*13, so the cross-off loop starts at 17.  The pattern
+# repeats every 15,015 odd slots and is cached at that length.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL_PERIOD = 3 * 5 * 7 * 11 * 13
+
+
+@lru_cache(maxsize=1)
+def _wheel_pattern() -> np.ndarray:
+    """One period of the wheel; slot i stands for the odd number 2i + 1."""
+    pattern = np.ones(_WHEEL_PERIOD, dtype=bool)
+    for p in _WHEEL_PRIMES:
+        pattern[p // 2 :: p] = False
+    return pattern
+
+
 def _sieve_mask(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     """Boolean mask over odd integers in [lo, hi); True means prime.
 
-    ``lo`` must be odd and >= 3.  ``base`` must contain every odd prime
-    <= sqrt(hi - 1).
+    ``lo`` must be odd and >= 3.  ``base`` must be sorted and contain
+    every odd prime <= sqrt(hi - 1).
     """
     n_slots = (hi - lo + 1) // 2
-    mask = np.ones(n_slots, dtype=bool)
-    for p in base:
-        p = int(p)
-        if p * p >= hi:
-            break
-        start = p * p
-        if start < lo:
-            start = ((lo + p - 1) // p) * p
-            if start % 2 == 0:
-                start += p
-        if start < hi:
-            mask[(start - lo) // 2 :: p] = False
+    phase = (lo // 2) % _WHEEL_PERIOD
+    periods = -(-(phase + n_slots) // _WHEEL_PERIOD)
+    mask = np.tile(_wheel_pattern(), periods)[phase : phase + n_slots]
+    if lo <= _WHEEL_PRIMES[-1]:
+        for p in _WHEEL_PRIMES:
+            if lo <= p < hi:
+                mask[(p - lo) // 2] = True
+    # Cross off base primes p >= 17 with p^2 < hi, each from its first odd
+    # multiple >= max(p^2, lo), all offsets computed in one pass.
+    first = np.searchsorted(base, _WHEEL_PRIMES[-1], "right")
+    ps = base[first : np.searchsorted(base, math.isqrt(hi - 1), "right")]
+    offsets = (-lo) % ps  # distance from lo to the first multiple >= lo
+    offsets += (offsets & 1) * ps  # odd distance: that multiple is even
+    offsets >>= 1
+    np.maximum(offsets, (ps * ps - lo) >> 1, out=offsets)
+    for p, o in zip(ps.tolist(), offsets.tolist()):
+        mask[o::p] = False
     return mask
 
 
@@ -136,8 +160,10 @@ def _worker_base(sqrt_cap: int) -> np.ndarray:
 
 def _worker_primes(task: tuple[int, int, int]) -> np.ndarray:
     lo, hi, sqrt_cap = task
-    mask = _sieve_mask(lo, hi, _worker_base(sqrt_cap))
-    return (np.flatnonzero(mask).astype(np.int64) << 1) + lo
+    primes = np.flatnonzero(_sieve_mask(lo, hi, _worker_base(sqrt_cap)))
+    primes <<= 1
+    primes += lo
+    return primes
 
 
 def _worker_count(task: tuple[int, int, int]) -> int:
@@ -234,8 +260,11 @@ def _prime_segments(
     slots = effective_segment_slots(limit, segment_slots)
     sqrt_cap = math.isqrt(limit) + 1
     tasks = [(lo, hi, sqrt_cap) for lo, hi in _segment_bounds(limit, slots, start_lo)]
-    for task, block in zip(tasks, _ordered_map(_worker_primes, tasks, workers)):
-        yield task[1], block
+    # No reference to a block outlives its yield, so one segment's arrays
+    # are live at a time (zip would keep the last block while sieving).
+    blocks = _ordered_map(_worker_primes, tasks, workers)
+    for task in tasks:
+        yield task[1], next(blocks)
 
 
 def prime_blocks(
@@ -337,17 +366,18 @@ def gap_blocks(
     ):
         if len(block) == 0:
             continue
-        chain = np.concatenate(([last], block))
-        gaps = np.diff(chain)
-        rights = chain[1:]
+        gaps = np.empty_like(block)
+        gaps[0] = block[0] - last
+        np.subtract(block[1:], block[:-1], out=gaps[1:])
         if index_limit is not None and n + len(gaps) - 1 >= index_limit:
             keep = index_limit - n + 1
             if keep > 0:
-                yield GapBlock(n, gaps[:keep], rights[:keep], seg_end)
+                yield GapBlock(n, gaps[:keep], block[:keep], seg_end)
             return
-        yield GapBlock(n, gaps, rights, seg_end)
+        yield GapBlock(n, gaps, block, seg_end)
         n += len(gaps)
         last = int(block[-1])
+        del block, gaps  # free this segment's arrays before the next is sieved
     if index_limit is not None:
         raise CapacityError("prime enumeration bound exhausted before index limit")
 

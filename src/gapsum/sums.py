@@ -55,7 +55,7 @@ class WeightSpec:
     def evaluate(self, gaps: np.ndarray) -> np.ndarray:
         g = gaps.astype(np.float64)
         if self.alpha == 0:
-            return 1.0 / g
+            return np.divide(1.0, g, out=g)
         return np.log(g) ** self.alpha / g
 
 
@@ -149,7 +149,9 @@ def accumulate_terms(
     on_segment: Callable[[AccumulatorState], None] | None = None,
     stop_after_segments: int | None = None,
 ) -> list[SumSnapshot]:
-    """Reduce term_fn(gaps, n_indices) over the gap stream, in order.
+    """Reduce term_fn(gaps, n0) over the gap stream, in order.
+
+    ``n0`` is the index n of ``gaps[0]``; the gaps run over n0, n0 + 1, ...
 
     ``mode`` is "prime" (include gaps with p_{n+1} <= limit) or "index"
     (n <= limit).  Snapshots are emitted at each snapshot limit (the
@@ -189,12 +191,16 @@ def accumulate_terms(
         skip = max(0, start_index - block.n0)
         gaps = block.gaps[skip:]
         if len(gaps):
-            n_idx = np.arange(block.n0 + skip, block.n0 + skip + len(gaps), dtype=np.int64)
-            positions = block.rights[skip:] if mode == "prime" else n_idx
-            w = term_fn(gaps, n_idx)
+            n0 = block.n0 + skip
+            w = term_fn(gaps, n0)
+            rights = block.rights[skip:]
+            last = int(rights[-1]) if mode == "prime" else n0 + len(gaps) - 1
             prev = 0
-            while gi < len(grid) and grid[gi] <= positions[-1]:
-                cut = int(np.searchsorted(positions, grid[gi], side="right"))
+            while gi < len(grid) and grid[gi] <= last:
+                if mode == "prime":
+                    cut = int(np.searchsorted(rights, grid[gi], side="right"))
+                else:
+                    cut = max(0, grid[gi] - n0 + 1)
                 kahan.add(float(np.sum(w[prev:cut])))
                 terms += cut - prev
                 snapshots.append(
@@ -218,6 +224,7 @@ def accumulate_terms(
             )
         if stop_after_segments is not None and segments_done >= stop_after_segments:
             raise RunInterrupted
+        block = gaps = w = rights = None  # free them before the next segment is sieved
     if not snapshots or snapshots[-1].limit_reached != limit:
         snapshots.append(SumSnapshot(mode, limit, kahan.total(), terms, kahan.c))
     return snapshots
@@ -257,7 +264,7 @@ def weighted_gap_sum_series(
     else:
         mode, limit = "index", engine._check_limit(index_limit, 1, "index_limit")
     return accumulate_terms(
-        lambda gaps, n_idx: evaluate(gaps),
+        lambda gaps, n0: evaluate(gaps),
         mode=mode,
         limit=limit,
         start_index=start_index,
@@ -307,8 +314,8 @@ def erdos_nathanson_series(
     if not math.isfinite(c):
         raise ValidationError(f"c must be finite, got {c}")
 
-    def terms(gaps: np.ndarray, n_idx: np.ndarray) -> np.ndarray:
-        n = n_idx.astype(np.float64)
+    def terms(gaps: np.ndarray, n0: int) -> np.ndarray:
+        n = np.arange(n0, n0 + len(gaps), dtype=np.float64)
         w = gaps * n
         if c == 0:
             return 1.0 / w

@@ -143,7 +143,7 @@ def conjecture1_ratio(
     segment_slots: int | None = None,
 ) -> list[VerificationReport]:
     """Pair counts against S({0,d}) X / log^2 X for each d."""
-    x = int(limit)
+    x = engine._check_limit(limit, 2)
     log_x = math.log(x)
     reports = []
     todo: list[int] = []
@@ -242,7 +242,7 @@ def sieve_bound_check(
     whatever slack the caller grants for the (1 + o(1)); a materially
     larger ratio indicates a bug, not a discovery.
     """
-    x = int(limit)
+    x = engine._check_limit(limit, 2)
     log_x = math.log(x)
     reports = []
     todo = []
@@ -291,7 +291,7 @@ def theorem1_ratio(
     controls directly, and the index form follows by the X/log X index
     count.
     """
-    x = int(limit)
+    x = engine._check_limit(limit, 16)
     alpha = float(alpha)
     start = 2 if alpha < 0 else 1
     weight = sums.WeightSpec(alpha, start)
@@ -328,7 +328,7 @@ def corollary_ratio(
     and the reported uncertainty is the last inter-snapshot increment,
     since no closed form exists for the limiting constant.
     """
-    x = int(limit)
+    x = engine._check_limit(limit, 16)
     c = float(c)
     grid = sums.default_snapshot_grid(x)
     series = sums.erdos_nathanson_series(

@@ -2,12 +2,15 @@
 
 Everything here is deliberately naive and shares no code with the
 package: trial division for primality, direct loops for counts and
-sums.  These are the oracles the library is checked against.
+sums, and a per-prime segment sieve for the vectorised kernel.  These
+are the oracles the library is checked against.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def is_prime(n: int) -> bool:
@@ -111,3 +114,26 @@ def pair_singular_terms(x: int, c2: float) -> float:
             factor *= (m - 1) / (m - 2)
         total += 2.0 * c2 * factor
     return total
+
+
+def segment_mask(lo: int, hi: int, base) -> np.ndarray:
+    """Plain segmented sieve: mask over odd integers in [lo, hi), True = prime.
+
+    One strided slice assignment per base prime p with p^2 < hi, from the
+    first odd multiple of p that is >= max(p^2, lo).  ``lo`` is odd and
+    >= 3; ``base`` holds at least the odd primes <= sqrt(hi - 1), in order.
+    """
+    n_slots = (hi - lo + 1) // 2
+    mask = np.ones(n_slots, dtype=bool)
+    for p in base:
+        p = int(p)
+        if p * p >= hi:
+            break
+        start = p * p
+        if start < lo:
+            start = ((lo + p - 1) // p) * p
+            if start % 2 == 0:
+                start += p
+        if start < hi:
+            mask[(start - lo) // 2 :: p] = False
+    return mask

@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import json
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -180,7 +182,7 @@ def test_verify_sieve_bound_default_samples(tmp_path, monkeypatch):
 
 def test_checkpoint_stop_resume_cycle(tmp_path, monkeypatch):
     base = [
-        "weighted-sum", "--limit", "2e6", "--alpha", "0", "--workers", "1",
+        "weighted-sum", "--limit", "1e7", "--alpha", "0", "--workers", "1",
     ]
     assert run_cli(base + ["--output", "full.csv"], tmp_path, monkeypatch) == 0
     code = run_cli(
@@ -273,3 +275,17 @@ def test_stop_after_requires_checkpoint_dir(tmp_path, monkeypatch):
         tmp_path, monkeypatch,
     )
     assert code == 1
+
+
+def test_verification_suite_report_names_are_distinct():
+    # --alpha -1 and --alpha 1 must name different reports, or one
+    # overwrites the other
+    path = Path(__file__).parents[1] / "scripts" / "run_verification_suite.py"
+    spec = importlib.util.spec_from_file_location("run_verification_suite", path)
+    suite = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(suite)
+    names = [suite.report_name(job) for job in suite.suite_jobs("1e8")]
+    assert len(names) == 10
+    assert len(set(names)) == 10
+    assert "verify-theorem1-limit-1e8-alpha--1" in names
+    assert "verify-theorem1-limit-1e8-alpha-1" in names

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from gapsum import engine
@@ -46,6 +48,31 @@ def test_prime_count_dual_implementation_oracle_1e8():
 
 def test_prime_count_published_value_1e9():
     assert engine.prime_count(10**9) == 50_847_534
+
+
+def test_twin_prime_counts_published_values():
+    # pi_2(X), the number of twin prime pairs (p, p + 2) with p + 2 <= X (OEIS A007508)
+    assert engine.tuple_count(10**8, (0, 2)) == 440_312
+    assert engine.tuple_count(10**9, (0, 2)) == 3_424_506
+
+
+@settings(max_examples=150)
+@given(
+    # lo <= 13 puts wheel primes in the segment; larger lo starts at any wheel phase
+    lo=st.one_of(st.integers(1, 6), st.integers(1, 2_500_000_000)).map(lambda k: 2 * k + 1),
+    # spans shorter and longer than the wheel's 15,015-slot period
+    slots=st.one_of(st.integers(1, 64), st.integers(1, 15_015), st.integers(15_016, 40_000)),
+    # tuple_counts sieves max(H) past a segment's end, so hi has either parity
+    extra=st.integers(0, 64),
+    wide_base=st.booleans(),
+)
+def test_sieve_mask_matches_per_prime_oracle(lo, slots, extra, wide_base):
+    hi = lo + 2 * slots + extra
+    # callers pass the base primes for the whole run, which may reach past sqrt(hi)
+    cap = 100_001 if wide_base else math.isqrt(hi - 1)
+    base = engine._odd_base_primes(cap)
+    got = engine._sieve_mask(lo, hi, base)
+    assert np.array_equal(got, oracles.segment_mask(lo, hi, base))
 
 
 def test_gap_stream_prime_limit_smallest():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from gapsum import sums
+from gapsum import sums, verify
 from gapsum.errors import (
     EmptyDomainError,
     UnsupportedExponentError,
@@ -80,6 +80,16 @@ def test_float_limits_refused():
         sums.range_split_sum(2500.7, WeightSpec(0.0))
     with pytest.raises(ValidationError):
         sums.sandwich_check(2500.7, 2)
+    with pytest.raises(ValidationError):
+        verify.theorem1_ratio(2500.7, 0.0)
+    with pytest.raises(ValidationError):
+        verify.theorem1_ratio(2500.7, 0.0, "index")
+    with pytest.raises(ValidationError):
+        verify.corollary_ratio(2500.7, 0.0)
+    with pytest.raises(ValidationError):
+        verify.conjecture1_ratio(2500.7, [2])
+    with pytest.raises(ValidationError):
+        verify.sieve_bound_check(2500.7, [(2, 6)])
 
 
 def test_en_sum_hand_values():
