@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -141,26 +143,12 @@ def _sieve_mask(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _segment_bounds(limit: int, slots: int, start_lo: int = _FIRST_ODD) -> Iterator[tuple[int, int]]:
-    span = 2 * slots
-    lo = start_lo
-    while lo <= limit:
-        hi = min(lo + span, limit + 1)
-        yield lo, hi
-        lo = hi
-
-
 # ---------------------------------------------------------------------------
 # Worker functions (top level so they pickle under multiprocessing)
 
-@lru_cache(maxsize=2)
-def _worker_base(sqrt_cap: int) -> np.ndarray:
-    return _odd_base_primes(sqrt_cap)
-
-
 def _worker_primes(task: tuple[int, int, int]) -> np.ndarray:
     lo, hi, sqrt_cap = task
-    primes = np.flatnonzero(_sieve_mask(lo, hi, _worker_base(sqrt_cap)))
+    primes = np.flatnonzero(_sieve_mask(lo, hi, _odd_base_primes(sqrt_cap)))
     primes <<= 1
     primes += lo
     return primes
@@ -168,7 +156,15 @@ def _worker_primes(task: tuple[int, int, int]) -> np.ndarray:
 
 def _worker_count(task: tuple[int, int, int]) -> int:
     lo, hi, sqrt_cap = task
-    return int(np.count_nonzero(_sieve_mask(lo, hi, _worker_base(sqrt_cap))))
+    return int(np.count_nonzero(_sieve_mask(lo, hi, _odd_base_primes(sqrt_cap))))
+
+
+def _worker_gap_counts(task: tuple[int, int, int]) -> tuple[int, int, np.ndarray] | None:
+    """(first prime, last prime, bincount of the gaps inside), or None if no prime."""
+    primes = _worker_primes(task)
+    if not len(primes):
+        return None
+    return int(primes[0]), int(primes[-1]), np.bincount(np.diff(primes))
 
 
 def _worker_tuple_counts(task: tuple[int, int, int, int, tuple[tuple[int, ...], ...]]) -> np.ndarray:
@@ -177,10 +173,10 @@ def _worker_tuple_counts(task: tuple[int, int, int, int, tuple[tuple[int, ...], 
     The segment mask is sieved with an extension of max(h)/2 slots past
     ``hi`` so shifted lookups never cross a segment boundary.
     """
-    lo, hi, limit, sqrt_cap, tuples = task
+    lo, hi, sqrt_cap, limit, tuples = task
     ext = max(h[-1] for h in tuples)
     hi_ext = min(hi + ext, limit + 1)
-    mask = _sieve_mask(lo, hi_ext, _worker_base(sqrt_cap))
+    mask = _sieve_mask(lo, hi_ext, _odd_base_primes(sqrt_cap))
     out = np.zeros(len(tuples), dtype=np.int64)
     for j, offsets in enumerate(tuples):
         hmax = offsets[-1]
@@ -196,26 +192,35 @@ def _worker_tuple_counts(task: tuple[int, int, int, int, tuple[tuple[int, ...], 
     return out
 
 
-def _ordered_map(worker, tasks: list, workers: int) -> Iterator:
-    """Apply ``worker`` over ``tasks``, yielding results in task order.
+def _segment_map(worker, limit: int, *, workers: int | None, segment_slots: int | None,
+                 start_lo: int = _FIRST_ODD, extra: tuple = ()) -> Iterator[tuple[int, object]]:
+    """Yield (segment end, worker(task)) for each segment up to ``limit``, in order.
 
-    With ``workers > 1`` the tasks run in a process pool but the yield
-    order is still the submission order, which keeps every downstream
-    reduction deterministic.
+    A task is ``(lo, hi, sqrt_cap, *extra)``: the odd integers in
+    [lo, hi), with base primes up to ``sqrt_cap``.  With ``workers > 1``
+    the tasks run in a process pool, a bounded window ahead of the
+    consumer, but results are still yielded in segment order, which keeps
+    every downstream reduction deterministic.  No result is referenced
+    here once it has been yielded.
     """
+    if workers is None:
+        workers = default_workers()
+    span = 2 * effective_segment_slots(limit, segment_slots)
+    sqrt_cap = math.isqrt(limit) + 1
+    tasks = [(lo, min(lo + span, limit + 1), sqrt_cap, *extra)
+             for lo in range(start_lo, limit + 1, span)]
     if workers <= 1 or len(tasks) <= 1:
-        for t in tasks:
-            yield worker(t)
+        for task in tasks:
+            yield task[1], worker(task)
         return
     window = 2 * workers + 2
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        pending = {}
-        next_submit = 0
-        for next_yield in range(len(tasks)):
-            while next_submit < len(tasks) and next_submit - next_yield < window:
-                pending[next_submit] = ex.submit(worker, tasks[next_submit])
-                next_submit += 1
-            yield pending.pop(next_yield).result()
+        ahead = iter(tasks)
+        pending = deque()
+        for task in tasks:
+            for queued in islice(ahead, window - len(pending)):
+                pending.append(ex.submit(worker, queued))
+            yield task[1], pending.popleft().result()
 
 
 # ---------------------------------------------------------------------------
@@ -246,27 +251,6 @@ class GapHistogram:
 # ---------------------------------------------------------------------------
 # Prime enumeration
 
-def _prime_segments(
-    limit: int,
-    *,
-    workers: int | None = None,
-    segment_slots: int | None = None,
-    start_lo: int = _FIRST_ODD,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (segment_end, odd primes in segment) pairs in segment order."""
-    limit = _check_limit(limit, 2)
-    if workers is None:
-        workers = default_workers()
-    slots = effective_segment_slots(limit, segment_slots)
-    sqrt_cap = math.isqrt(limit) + 1
-    tasks = [(lo, hi, sqrt_cap) for lo, hi in _segment_bounds(limit, slots, start_lo)]
-    # No reference to a block outlives its yield, so one segment's arrays
-    # are live at a time (zip would keep the last block while sieving).
-    blocks = _ordered_map(_worker_primes, tasks, workers)
-    for task in tasks:
-        yield task[1], next(blocks)
-
-
 def prime_blocks(
     limit: int,
     *,
@@ -280,10 +264,12 @@ def prime_blocks(
     themselves.  ``start_lo`` admits restarting mid-run from a segment
     boundary recorded in a checkpoint.
     """
-    for _, block in _prime_segments(
-        limit, workers=workers, segment_slots=segment_slots, start_lo=start_lo
+    limit = _check_limit(limit, 2)
+    for _, block in _segment_map(
+        _worker_primes, limit, workers=workers, segment_slots=segment_slots, start_lo=start_lo
     ):
         yield block
+        del block  # free it before the next segment is sieved
 
 
 def primes_up_to(
@@ -307,12 +293,8 @@ def prime_count(
 ) -> int:
     """pi(limit): the number of primes <= limit."""
     limit = _check_limit(limit, 2)
-    if workers is None:
-        workers = default_workers()
-    slots = effective_segment_slots(limit, segment_slots)
-    sqrt_cap = math.isqrt(limit) + 1
-    tasks = [(lo, hi, sqrt_cap) for lo, hi in _segment_bounds(limit, slots)]
-    return 1 + sum(_ordered_map(_worker_count, tasks, workers))
+    segments = _segment_map(_worker_count, limit, workers=workers, segment_slots=segment_slots)
+    return 1 + sum(count for _, count in segments)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +340,12 @@ def gap_blocks(
         sieve_limit = _check_limit(prime_limit, 3, "prime_limit")
     else:
         index_limit = _check_limit(index_limit, 1, "index_limit")
-        sieve_limit = _prime_value_bound(index_limit + 1)
+        sieve_limit = _check_limit(_prime_value_bound(index_limit + 1), 2)
     last = init_last
     n = init_n
-    for seg_end, block in _prime_segments(
-        sieve_limit, workers=workers, segment_slots=segment_slots, start_lo=start_lo
+    for seg_end, block in _segment_map(
+        _worker_primes, sieve_limit, workers=workers, segment_slots=segment_slots,
+        start_lo=start_lo,
     ):
         if len(block) == 0:
             continue
@@ -418,17 +401,23 @@ def consecutive_gap_counts(
     workers: int | None = None,
     segment_slots: int | None = None,
 ) -> GapHistogram:
-    """Histogram of consecutive gaps d_n with p_{n+1} <= limit."""
+    """Histogram of consecutive gaps d_n with p_{n+1} <= limit.
+
+    Workers count the gaps inside their segments; the parent adds each
+    gap across a segment boundary.  The integer fold is exact.
+    """
     limit = _check_limit(limit, 3)
-    acc = np.zeros(0, dtype=np.int64)
-    for block in gap_blocks(prime_limit=limit, workers=workers, segment_slots=segment_slots):
-        counts = np.bincount(block.gaps)
-        if len(counts) > len(acc):
-            counts[: len(acc)] += acc
-            acc = counts
-        else:
-            acc[: len(counts)] += counts
-    return GapHistogram(limit, {int(d): int(c) for d, c in enumerate(acc) if c})
+    hist: Counter = Counter()
+    last = 2
+    for _, summary in _segment_map(
+        _worker_gap_counts, limit, workers=workers, segment_slots=segment_slots
+    ):
+        if summary is not None:
+            first, top, counts = summary
+            hist[first - last] += 1
+            hist.update(dict(enumerate(counts.tolist())))
+            last = top
+    return GapHistogram(limit, {d: c for d, c in sorted(hist.items()) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +489,12 @@ def tuple_counts(
         else:
             even_idx.append(j)
     if even_idx:
-        if workers is None:
-            workers = default_workers()
-        slots = effective_segment_slots(limit, segment_slots)
-        sqrt_cap = math.isqrt(limit) + 1
         tuples = tuple(normalized[j] for j in even_idx)
-        tasks = [
-            (lo, hi, limit, sqrt_cap, tuples)
-            for lo, hi in _segment_bounds(limit, slots)
-        ]
         total = np.zeros(len(tuples), dtype=np.int64)
-        for part in _ordered_map(_worker_tuple_counts, tasks, workers):
+        for _, part in _segment_map(
+            _worker_tuple_counts, limit, workers=workers, segment_slots=segment_slots,
+            extra=(limit, tuples),
+        ):
             total += part
         for pos, j in enumerate(even_idx):
             results[j] = int(total[pos])

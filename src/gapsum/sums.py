@@ -1,21 +1,23 @@
-"""Streaming accumulators over the consecutive-prime gap stream.
+"""Accumulators over the consecutive-prime gap stream.
 
-All sums are reduced with compensated (Neumaier) summation in a fixed
-segment order, so a run's final value is bit-identical for any worker
-count and for a checkpointed stop/resume at a segment boundary.  Values
-do depend on the segment size at the last-bit level; integer results do
-not.
+Streamed sums are reduced with compensated (Neumaier) summation in a
+fixed segment order, so a run's final value is bit-identical for any
+worker count and for a checkpointed stop/resume at a segment boundary;
+the segment size may move their last bit.  The range split is summed
+exactly from the integer gap histogram and rounded once, so it does not
+depend on segment size or worker count, and neither do integer results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import engine, singular
+from . import engine
 from .errors import UnsupportedExponentError, ValidationError
 
 
@@ -233,18 +235,8 @@ def accumulate_terms(
 # ---------------------------------------------------------------------------
 # Weighted gap sums
 
-def _coerce_weight(weight) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-    if isinstance(weight, WeightSpec):
-        return weight.evaluate, weight.start_index
-    if callable(weight):
-        # Experimental hook for user-supplied monotone decreasing weights;
-        # only the WeightSpec family is exercised by the test suite.
-        return weight, 1
-    raise ValidationError("weight must be a WeightSpec or a callable")
-
-
 def weighted_gap_sum_series(
-    weight,
+    weight: WeightSpec,
     *,
     prime_limit: int | None = None,
     index_limit: int | None = None,
@@ -258,16 +250,17 @@ def weighted_gap_sum_series(
     """Snapshots of sum f(d_n), f from ``weight``, over the chosen range."""
     if (prime_limit is None) == (index_limit is None):
         raise ValidationError("exactly one of prime_limit and index_limit is required")
-    evaluate, start_index = _coerce_weight(weight)
+    if not isinstance(weight, WeightSpec):
+        raise ValidationError("weight must be a WeightSpec")
     if prime_limit is not None:
         mode, limit = "prime", engine._check_limit(prime_limit, 3, "prime_limit")
     else:
         mode, limit = "index", engine._check_limit(index_limit, 1, "index_limit")
     return accumulate_terms(
-        lambda gaps, n0: evaluate(gaps),
+        lambda gaps, n0: weight.evaluate(gaps),
         mode=mode,
         limit=limit,
-        start_index=start_index,
+        start_index=weight.start_index,
         snapshot_limits=snapshot_limits,
         workers=workers,
         segment_slots=segment_slots,
@@ -277,7 +270,7 @@ def weighted_gap_sum_series(
     )
 
 
-def weighted_gap_sum(weight, **kwargs) -> SumSnapshot:
+def weighted_gap_sum(weight: WeightSpec, **kwargs) -> SumSnapshot:
     """Final snapshot of ``weighted_gap_sum_series``."""
     return weighted_gap_sum_series(weight, **kwargs)[-1]
 
@@ -345,7 +338,7 @@ def erdos_nathanson_sum(index_limit: int, c: float, **kwargs) -> SumSnapshot:
 
 def range_split_sum(
     prime_limit: int,
-    weight,
+    weight: WeightSpec,
     *,
     workers: int | None = None,
     segment_slots: int | None = None,
@@ -356,49 +349,35 @@ def range_split_sum(
     alpha <= 1 so the weight is decreasing on the whole range (the
     decomposition's reading leans on that monotonicity; for plain
     accumulation of larger alpha use ``weighted_gap_sum``).
+
+    Each range is read from the gap histogram N(d; X) as the exact sum
+    of f(d) * N(d) over its bins, rounded once, so the split is the
+    correctly rounded sum of the per-gap terms and does not depend on
+    segment size or worker count.
     """
     x = engine._check_limit(prime_limit, 16, "prime_limit")
-    if isinstance(weight, WeightSpec) and weight.alpha > 1:
+    if not isinstance(weight, WeightSpec):
+        raise ValidationError("weight must be a WeightSpec")
+    if weight.alpha > 1:
         raise ValidationError("the range decomposition requires alpha <= 1")
-    evaluate, start_index = _coerce_weight(weight)
     log_x = math.log(x)
     y = log_x / math.log(log_x)
-    acc = [_Kahan(), _Kahan(), _Kahan()]
-    for block in engine.gap_blocks(
-        prime_limit=x, workers=workers, segment_slots=segment_slots
-    ):
-        skip = max(0, start_index - block.n0)
-        gaps = block.gaps[skip:]
-        if not len(gaps):
-            continue
-        w = evaluate(gaps)
-        low = gaps <= y
-        mid = (~low) & (gaps <= log_x)
-        acc[0].add(float(np.sum(w[low])))
-        acc[1].add(float(np.sum(w[mid])))
-        acc[2].add(float(np.sum(w[~(low | mid)])))
-    return RangeSplit(x, y, acc[0].total(), acc[1].total(), acc[2].total())
+    counts = engine.consecutive_gap_counts(
+        x, workers=workers, segment_slots=segment_slots
+    ).counts
+    if weight.start_index > 1:  # drop the gaps with n < start_index
+        for rec in engine.gap_stream(index_limit=weight.start_index - 1, workers=1):
+            if rec.p_next <= x:
+                counts[rec.gap] -= 1
+    bins = np.array([d for d, c in counts.items() if c], dtype=np.int64)
+    parts = [Fraction(0)] * 3
+    for d, w in zip(bins.tolist(), weight.evaluate(bins).tolist()):
+        parts[0 if d <= y else 1 if d <= log_x else 2] += Fraction(w) * counts[d]
+    return RangeSplit(x, y, *(float(part) for part in parts))
 
 
 # ---------------------------------------------------------------------------
 # Inclusion-exclusion sandwich
-
-_SANDWICH_SCAN_CUTOFF = 100
-
-
-def _scan_triple(limit: int, h: int, d: int) -> int:
-    """Directly count n <= cutoff with n, n+h, n+d all prime.
-
-    Used for inadmissible triples, whose solutions force n to equal the
-    covered prime (so n <= 3); the cutoff is generous.
-    """
-    top = min(limit - d, _SANDWICH_SCAN_CUTOFF)
-    count = 0
-    for n in range(2, top + 1):
-        if engine._is_prime(n) and engine._is_prime(n + h) and engine._is_prime(n + d):
-            count += 1
-    return count
-
 
 def sandwich_check(
     limit: int,
@@ -418,22 +397,12 @@ def sandwich_check(
     if d < 2 or d % 2:
         raise ValidationError("the sandwich is defined for even d >= 2")
     limit = engine._check_limit(limit, d + 3)
-    admissible = []
-    scanned = 0
-    for h in range(1, d):
-        spec = singular.TupleSpec((0, h, d))
-        if spec.admissible:
-            admissible.append(spec.offsets)
-        else:
-            scanned += _scan_triple(limit, h, d)
     counts = engine.tuple_counts(
-        limit, [(0, d), *admissible], workers=workers, segment_slots=segment_slots
+        limit, [(0, d)] + [(0, h, d) for h in range(1, d)],
+        workers=workers, segment_slots=segment_slots,
     )
     upper = counts[0]
-    triple_total = sum(counts[1:]) + scanned
-    histogram = engine.consecutive_gap_counts(
-        limit, workers=workers, segment_slots=segment_slots
-    )
+    histogram = engine.consecutive_gap_counts(limit, workers=workers, segment_slots=segment_slots)
     middle = histogram.counts.get(d, 0)
-    lower = upper - triple_total
+    lower = upper - sum(counts[1:])
     return SandwichResult(lower, middle, upper, lower <= middle <= upper)

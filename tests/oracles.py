@@ -74,15 +74,18 @@ def gap_histogram(limit: int, prime_list: list[int]) -> dict[int, int]:
     return out
 
 
+def weight(alpha: float, d: int) -> float:
+    """One term log(d)^alpha / d of the weighted gap sum."""
+    if alpha == 0:
+        return 1.0 / d
+    return math.log(d) ** alpha / d
+
+
 def weighted_sum(alpha: float, gaps: list[int], start_index: int = 1) -> float:
     total = 0.0
     for n, d in enumerate(gaps, start=1):
-        if n < start_index:
-            continue
-        if alpha == 0:
-            total += 1.0 / d
-        else:
-            total += math.log(d) ** alpha / d
+        if n >= start_index:
+            total += weight(alpha, d)
     return total
 
 

@@ -195,7 +195,7 @@ def test_gap_record_invariants():
             assert rec.gap % 2 == 0
 
 
-def test_determinism_across_workers_and_segment_sizes():
+def test_determinism_across_workers_and_segment_sizes(oracle_primes_1e5):
     reference = list(engine.primes_up_to(300_000, workers=1))
     for workers, slots in [(1, 1 << 12), (2, 1 << 14), (4, 1 << 16), (3, 1 << 10)]:
         got = list(engine.primes_up_to(300_000, workers=workers, segment_slots=slots))
@@ -205,6 +205,13 @@ def test_determinism_across_workers_and_segment_sizes():
         for w, s in [(1, 1 << 12), (2, 1 << 15), (4, 1 << 18)]
     }
     assert len(counts) == 1
+    # small segments put many gaps across segment boundaries, which the
+    # parent adds to the workers' histograms
+    for x in (100_000, 2051):  # 2051 = 7 * 293 alone in a prime-free last segment
+        histogram = oracles.gap_histogram(x, oracle_primes_1e5)
+        for workers, slots in [(1, 1 << 10), (2, 1 << 10), (3, 1 << 12), (1, 1 << 18)]:
+            got = engine.consecutive_gap_counts(x, workers=workers, segment_slots=slots)
+            assert got.counts == histogram, (x, workers, slots)
 
 
 def test_segment_slots_validation():

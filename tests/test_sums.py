@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -248,6 +249,26 @@ def test_range_split_validation():
         sums.range_split_sum(100, WeightSpec(1.5))  # weight not decreasing
 
 
+def test_range_split_exact_and_invariant(oracle_primes_1e5):
+    # each range is the correctly rounded sum of the per-gap floats, and
+    # the split is identical for every segment size and worker count
+    x = 100_000
+    log_x = math.log(x)
+    y = log_x / math.log(log_x)
+    gaps = oracles.gap_list(oracle_primes_1e5)
+    for alpha, start in ((-1.0, 2), (0.0, 1), (1.0, 1), (0.0, 3)):
+        parts = [Fraction(0)] * 3
+        for n, d in enumerate(gaps[start - 1 :], start=start):
+            parts[0 if d <= y else 1 if d <= log_x else 2] += Fraction(oracles.weight(alpha, d))
+        expected = sums.RangeSplit(x, y, *(float(part) for part in parts))
+        splits = {
+            sums.range_split_sum(x, WeightSpec(alpha, start), workers=w, segment_slots=s)
+            for w in (1, 2)
+            for s in (1 << 10, 1 << 14, 1 << 18)
+        }
+        assert splits == {expected}, (alpha, start)
+
+
 def test_high_component_bounded_by_count(oracle_primes_1e5):
     x = 100_000
     split = sums.range_split_sum(x, WeightSpec(0.0))
@@ -282,7 +303,7 @@ def test_sandwich_x100_d4_strict(oracle_prime_set_1e5):
 
 def test_sandwich_inadmissible_triples_still_counted():
     # {0, 2, 4} is inadmissible yet n = 3 gives 3, 5, 7 all prime; the
-    # direct-scan path must catch it.
+    # sieve count must catch it.
     res = sums.sandwich_check(1000, 4)
     assert res.ok
     assert res.upper - res.lower >= 1
@@ -319,14 +340,13 @@ def test_weighted_sum_monotone_in_limit():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_custom_weight_hook():
-    snap = sums.weighted_gap_sum(lambda g: 1.0 / (g * g), index_limit=5)
-    assert snap.value == pytest.approx(1 + 1 / 4 + 1 / 4 + 1 / 16 + 1 / 4, rel=1e-15)
-
-
 def test_weight_type_rejected():
     with pytest.raises(ValidationError):
         sums.weighted_gap_sum(42, index_limit=5)
+    with pytest.raises(ValidationError):
+        sums.weighted_gap_sum(lambda g: 1.0 / g, index_limit=5)
+    with pytest.raises(ValidationError):
+        sums.range_split_sum(100, lambda g: 1.0 / g)
 
 
 def test_heuristic_tail_validation():
