@@ -362,9 +362,7 @@ def range_split_sum(
         raise ValidationError("the range decomposition requires alpha <= 1")
     log_x = math.log(x)
     y = log_x / math.log(log_x)
-    counts = engine.consecutive_gap_counts(
-        x, workers=workers, segment_slots=segment_slots
-    ).counts
+    counts = engine.consecutive_gap_counts(x, workers=workers, segment_slots=segment_slots).counts
     if weight.start_index > 1:  # drop the gaps with n < start_index
         for rec in engine.gap_stream(index_limit=weight.start_index - 1, workers=1):
             if rec.p_next <= x:
@@ -402,7 +400,9 @@ def sandwich_check(
         workers=workers, segment_slots=segment_slots,
     )
     upper = counts[0]
-    histogram = engine.consecutive_gap_counts(limit, workers=workers, segment_slots=segment_slots)
+    histogram = engine.consecutive_gap_counts(
+        limit, workers=workers, segment_slots=segment_slots
+    )
     middle = histogram.counts.get(d, 0)
     lower = upper - sum(counts[1:])
     return SandwichResult(lower, middle, upper, lower <= middle <= upper)
