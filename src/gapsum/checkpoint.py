@@ -1,29 +1,16 @@
-"""Versioned binary checkpoints for resumable streaming runs.
+"""Versioned checkpoints for resumable streaming runs.
 
-One record per completed sieve segment, written atomically (temp file +
-rename).  The accumulator floats are serialized bit-exactly, so a
-resumed run reproduces the uninterrupted run's final value to the last
-bit.  A digest of the semantic run configuration refuses resumes under a
-different command, limit, weight, segment size, or snapshot grid; the
-worker count is deliberately not part of the digest because it cannot
-affect results.
-
-Record layout (little endian), 88 bytes total:
-
-    offset  size  field
-    0       4     magic "GSCK"
-    4       2     format version (currently 1)
-    6       1     mode (0 = prime limit, 1 = index limit)
-    7       1     reserved
-    8       8     run limit (uint64)
-    16      8     next segment lower bound (uint64)
-    24      8     last prime of the previous segment (uint64)
-    32      8     next gap index n (uint64)
-    40      8     accumulator value (float64 bits)
-    48      8     accumulator compensation (float64 bits)
-    56      8     included term count (uint64)
-    64      16    sha256 digest prefix of the run configuration
-    80      8     sha256 checksum prefix of the preceding bytes
+One record per completed sieve segment, written atomically (temp file,
+fsync, rename): the magic b"GSCK", a JSON body, and the first 8 bytes of
+the sha256 of everything before them.  The body holds the version, mode,
+limit, configuration digest and the ``AccumulatorState``: restart point,
+Neumaier pair, term count, gap histogram as (d, N) pairs and the snapshot
+rows written.  JSON floats round-trip float64 exactly, so a resumed run
+reproduces the uninterrupted run to the last bit.  The digest refuses
+resumes under a different command, limit, weight, segment size or
+snapshot grid; the worker count cannot affect results and is left out.
+Version 1 records (88 bytes, binary, without histogram or snapshots)
+are refused.
 """
 
 from __future__ import annotations
@@ -31,20 +18,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import struct
 import tempfile
 from dataclasses import dataclass
 
 from .errors import CheckpointError
-from .sums import AccumulatorState
+from .sums import AccumulatorState, SumSnapshot
 
 MAGIC = b"GSCK"
-VERSION = 1
-
-_HEAD = struct.Struct("<4sHBxQQQQddQ16s")
-_CHECK = struct.Struct("<8s")
-_MODES = {"prime": 0, "index": 1}
-_MODE_NAMES = {v: k for k, v in _MODES.items()}
+VERSION = 2
+_CHECK = 8
 
 
 def config_digest(config: dict) -> bytes:
@@ -61,47 +43,42 @@ class Checkpoint:
     digest: bytes
 
     def pack(self) -> bytes:
-        head = _HEAD.pack(
-            MAGIC,
-            VERSION,
-            _MODES[self.mode],
-            self.limit,
-            self.state.next_lo,
-            self.state.last_prime,
-            self.state.next_n,
-            self.state.kahan_s,
-            self.state.kahan_c,
-            self.state.terms,
-            self.digest,
-        )
-        return head + _CHECK.pack(hashlib.sha256(head).digest()[:8])
+        st = self.state
+        body = {
+            "version": VERSION, "mode": self.mode, "limit": self.limit,
+            "digest": self.digest.hex(),
+            "state": [st.next_lo, st.last_prime, st.next_n, st.kahan_s, st.kahan_c, st.terms,
+                      sorted(st.counts.items()),
+                      [[s.limit_reached, s.value, s.terms, s.compensation] for s in st.snapshots]],
+        }
+        head = MAGIC + json.dumps(body, separators=(",", ":")).encode()
+        return head + hashlib.sha256(head).digest()[:_CHECK]
 
 
 def unpack(raw: bytes) -> Checkpoint:
-    if len(raw) != _HEAD.size + _CHECK.size:
-        raise CheckpointError("checkpoint has the wrong length")
-    head, check = raw[: _HEAD.size], raw[_HEAD.size :]
-    (expected,) = _CHECK.unpack(check)
-    if hashlib.sha256(head).digest()[:8] != expected:
+    head, check = raw[:-_CHECK], raw[-_CHECK:]
+    if len(head) < len(MAGIC) + 1:
+        raise CheckpointError("checkpoint is too short")
+    if hashlib.sha256(head).digest()[:_CHECK] != check:
         raise CheckpointError("checkpoint checksum mismatch (corrupt file)")
-    magic, version, mode_id, limit, next_lo, last_prime, next_n, s, c, terms, digest = (
-        _HEAD.unpack(head)
-    )
-    if magic != MAGIC:
+    if head[:4] != MAGIC:
         raise CheckpointError("not a gapsum checkpoint")
+    try:
+        # version 1 wrote a binary uint16 version where the JSON body now starts
+        body = (json.loads(head[4:]) if head[4:5] == b"{"
+                else {"version": int.from_bytes(head[4:6], "little")})
+        version = body["version"]
+        if version == VERSION:
+            mode, limit, digest = body["mode"], body["limit"], bytes.fromhex(body["digest"])
+            *fields, counts, snaps = body["state"]
+            state = AccumulatorState(*fields, counts={d: n for d, n in counts},
+                                     snapshots=[SumSnapshot(mode, *row) for row in snaps])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"malformed checkpoint body: {exc}") from exc
     if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    if mode_id not in _MODE_NAMES:
-        raise CheckpointError(f"unknown checkpoint mode {mode_id}")
-    state = AccumulatorState(
-        next_lo=next_lo,
-        last_prime=last_prime,
-        next_n=next_n,
-        kahan_s=s,
-        kahan_c=c,
-        terms=terms,
-    )
-    return Checkpoint(_MODE_NAMES[mode_id], limit, state, digest)
+        raise CheckpointError(f"unsupported checkpoint version {version} "
+                              f"(this gapsum reads version {VERSION}); rerun without --resume")
+    return Checkpoint(mode, limit, state, digest)
 
 
 def _write_atomic(path: str, data: bytes) -> None:
@@ -115,6 +92,8 @@ def _write_atomic(path: str, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -159,12 +160,17 @@ def _worker_count(task: tuple[int, int, int]) -> int:
     return int(np.count_nonzero(_sieve_mask(lo, hi, _odd_base_primes(sqrt_cap))))
 
 
-def _worker_gap_counts(task: tuple[int, int, int]) -> tuple[int, int, np.ndarray] | None:
-    """(first prime, last prime, bincount of the gaps inside), or None if no prime."""
-    primes = _worker_primes(task)
-    if not len(primes):
-        return None
-    return int(primes[0]), int(primes[-1]), np.bincount(np.diff(primes))
+def _worker_gap_counts(task: tuple[int, int, int, tuple[int, ...]]) -> tuple | None:
+    """``_gap_bincounts`` at the prime cuts in [lo, hi), or None if no prime."""
+    lo, hi, sqrt_cap, cuts = task
+    primes = _worker_primes((lo, hi, sqrt_cap))
+    return _gap_bincounts(primes, [c for c in cuts if lo <= c < hi]) if len(primes) else None
+
+
+def _gap_bincounts(primes: np.ndarray, cuts) -> tuple[int, int, list[np.ndarray]]:
+    """(first prime, last prime, bincounts of the gaps between ``primes`` split at each cut)."""
+    parts = np.split(np.diff(primes), np.searchsorted(primes[1:], cuts, "right"))
+    return int(primes[0]), int(primes[-1]), [np.bincount(p) for p in parts]
 
 
 def _worker_tuple_counts(task: tuple[int, int, int, int, tuple[tuple[int, ...], ...]]) -> np.ndarray:
@@ -334,13 +340,7 @@ def gap_blocks(
     from checkpointed state; the defaults start from scratch, where the
     first record pairs 2 with 3.
     """
-    if (prime_limit is None) == (index_limit is None):
-        raise ValidationError("exactly one of prime_limit and index_limit is required")
-    if prime_limit is not None:
-        sieve_limit = _check_limit(prime_limit, 3, "prime_limit")
-    else:
-        index_limit = _check_limit(index_limit, 1, "index_limit")
-        sieve_limit = _check_limit(_prime_value_bound(index_limit + 1), 2)
+    sieve_limit, index_limit = _sieve_limit(prime_limit, index_limit)
     last = init_last
     n = init_n
     for seg_end, block in _segment_map(
@@ -363,6 +363,16 @@ def gap_blocks(
         del block, gaps  # free this segment's arrays before the next is sieved
     if index_limit is not None:
         raise CapacityError("prime enumeration bound exhausted before index limit")
+
+
+def _sieve_limit(prime_limit: int | None, index_limit: int | None) -> tuple[int, int | None]:
+    """The sieve bound for exactly one of the two limits, and the checked index limit."""
+    if (prime_limit is None) == (index_limit is None):
+        raise ValidationError("exactly one of prime_limit and index_limit is required")
+    if prime_limit is not None:
+        return _check_limit(prime_limit, 3, "prime_limit"), None
+    index_limit = _check_limit(index_limit, 1, "index_limit")
+    return _check_limit(_prime_value_bound(index_limit + 1), 2), index_limit
 
 
 def _prime_value_bound(n: int) -> int:
@@ -395,29 +405,89 @@ def gap_stream(
             yield GapRecord(block.n0 + j, r - g, r, g)
 
 
+@dataclass(frozen=True)
+class GapCounts:
+    """One segment's gap histogram, split at the cuts that close in it.
+
+    ``pieces[k]`` counts the gaps after cut k - 1 up to cut k; the last
+    piece runs on to the segment end (or the index limit).  The other
+    fields are the restart point after the segment, as in ``gap_blocks``.
+    """
+
+    pieces: list[Counter]
+    seg_end: int
+    last_prime: int
+    next_n: int
+
+
+def gap_count_blocks(
+    *,
+    prime_limit: int | None = None,
+    index_limit: int | None = None,
+    cuts: Sequence[int] = (),
+    workers: int | None = None,
+    segment_slots: int | None = None,
+    start_lo: int = _FIRST_ODD,
+    init_last: int = 2,
+    init_n: int = 1,
+) -> Iterator[GapCounts]:
+    """The gap histogram segment by segment, in order, split at ``cuts``.
+
+    Limits and restart arguments are those of ``gap_blocks``.  A cut c
+    closes the gaps d_n with p_{n+1} <= c (prime limit) or n <= c (index
+    limit); cuts beyond the limit never close.  Workers split their
+    bincounts at the prime cuts and the parent adds each boundary gap, so
+    no primes travel.  Only the parent knows n, so it sieves again each
+    segment holding an index cut.
+    """
+    sieve_limit, index_limit = _sieve_limit(prime_limit, index_limit)
+    cuts = sorted(cuts)
+    if index_limit is not None:
+        if init_n > index_limit:
+            return
+        cuts = [c for c in cuts if c <= index_limit] + [index_limit]
+    sqrt_cap = math.isqrt(sieve_limit) + 1
+    lo, last, n, ci = start_lo, init_last, init_n, 0
+    for hi, summary in _segment_map(
+        _worker_gap_counts, sieve_limit, workers=workers, segment_slots=segment_slots,
+        start_lo=start_lo, extra=(tuple(cuts) if index_limit is None else (),),
+    ):
+        first, top, parts = summary or (None, last, [])
+        if index_limit is None:
+            k = bisect_left(cuts, hi, ci)
+        else:  # the segment holds the gaps n, ..., n + (gaps inside)
+            k = bisect_right(cuts, n + int(parts[0].sum()) if parts else n - 1, ci)
+        values = cuts[ci:k]
+        if index_limit is not None and k > ci:  # sieve again for the primes closing the cuts
+            primes = _worker_primes((lo, hi, sqrt_cap))
+            values = [int(primes[c - n]) if c >= n else last for c in values]
+            parts = _gap_bincounts(primes, values)[2]
+        # cuts below this segment's primes close empty pieces
+        pieces = [Counter() for _ in range(k - ci + 1 - len(parts))]
+        pieces += [Counter({d: c for d, c in enumerate(p.tolist()) if c}) for p in parts]
+        if first is not None:
+            pieces[bisect_left(values, first)][first - last] += 1
+        if index_limit is not None and k == len(cuts):  # the index limit closed here
+            yield GapCounts(pieces[:-1], hi, values[-1], index_limit + 1)
+            return
+        n += sum(piece.total() for piece in pieces)
+        yield GapCounts(pieces, hi, top, n)
+        lo, last, ci = hi, top, k
+    if index_limit is not None:
+        raise CapacityError("prime enumeration bound exhausted before index limit")
+
+
 def consecutive_gap_counts(
     limit: int,
     *,
     workers: int | None = None,
     segment_slots: int | None = None,
 ) -> GapHistogram:
-    """Histogram of consecutive gaps d_n with p_{n+1} <= limit.
-
-    Workers count the gaps inside their segments; the parent adds each
-    gap across a segment boundary.  The integer fold is exact.
-    """
+    """Histogram of consecutive gaps d_n with p_{n+1} <= limit; the integer fold is exact."""
     limit = _check_limit(limit, 3)
-    hist: Counter = Counter()
-    last = 2
-    for _, summary in _segment_map(
-        _worker_gap_counts, limit, workers=workers, segment_slots=segment_slots
-    ):
-        if summary is not None:
-            first, top, counts = summary
-            hist[first - last] += 1
-            hist.update(dict(enumerate(counts.tolist())))
-            last = top
-    return GapHistogram(limit, {d: c for d, c in sorted(hist.items()) if c})
+    blocks = gap_count_blocks(prime_limit=limit, workers=workers, segment_slots=segment_slots)
+    hist = sum((block.pieces[0] for block in blocks), Counter())
+    return GapHistogram(limit, dict(sorted(hist.items())))
 
 
 # ---------------------------------------------------------------------------

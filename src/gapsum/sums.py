@@ -1,17 +1,21 @@
 """Accumulators over the consecutive-prime gap stream.
 
-Streamed sums are reduced with compensated (Neumaier) summation in a
-fixed segment order, so a run's final value is bit-identical for any
-worker count and for a checkpointed stop/resume at a segment boundary;
-the segment size may move their last bit.  The range split is summed
-exactly from the integer gap histogram and rounded once, so it does not
-depend on segment size or worker count, and neither do integer results.
+A sum of a weight f(d) depends on the gaps only through their histogram
+N(d), so weighted sums and the range split are read from the exact
+integer histogram: each value is the sum of fl(f(d)) * N(d), computed
+exactly and rounded once, which is the correctly rounded sum of the
+per-gap floats.  It does not depend on segment size, worker count or a
+resume.  The Erdos-Nathanson series depends on n, so it is folded gap by
+gap with compensated (Neumaier) summation in segment order: bit-identical
+for any worker count and across a resume, while the segment size may
+move its last bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -94,26 +98,6 @@ class SandwichResult(NamedTuple):
     ok: bool
 
 
-class _Kahan:
-    __slots__ = ("s", "c")
-
-    def __init__(self, s: float = 0.0, c: float = 0.0):
-        self.s = s
-        self.c = c
-
-    def add(self, x: float) -> None:
-        s = self.s
-        t = s + x
-        if abs(s) >= abs(x):
-            self.c += (s - t) + x
-        else:
-            self.c += (x - t) + s
-        self.s = t
-
-    def total(self) -> float:
-        return self.s + self.c
-
-
 def default_snapshot_grid(limit: int) -> list[int]:
     """Snapshot limits at 10^k and 3*10^k below the run limit."""
     out = []
@@ -128,112 +112,58 @@ def default_snapshot_grid(limit: int) -> list[int]:
 
 @dataclass
 class AccumulatorState:
-    """Resumable position of a streaming sum (one record per completed segment)."""
+    """A sum's resumable state after a segment: restart point, Neumaier pair
+    and term count (streamed sums), gap histogram (weighted sums), snapshots."""
 
-    next_lo: int
-    last_prime: int
-    next_n: int
-    kahan_s: float
-    kahan_c: float
-    terms: int
+    next_lo: int = 3
+    last_prime: int = 2
+    next_n: int = 1
+    kahan_s: float = 0.0
+    kahan_c: float = 0.0
+    terms: int = 0
+    counts: dict[int, int] = field(default_factory=dict)
+    snapshots: list[SumSnapshot] = field(default_factory=list)
 
 
-def accumulate_terms(
-    term_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    *,
-    mode: str,
-    limit: int,
-    start_index: int = 1,
-    snapshot_limits: Sequence[int] | None = None,
-    workers: int | None = None,
-    segment_slots: int | None = None,
-    resume: AccumulatorState | None = None,
-    on_segment: Callable[[AccumulatorState], None] | None = None,
-    stop_after_segments: int | None = None,
-) -> list[SumSnapshot]:
-    """Reduce term_fn(gaps, n0) over the gap stream, in order.
+def _pending_grid(grid: Sequence[int] | None, limit: int, done: list[SumSnapshot]) -> list[int]:
+    """The snapshot limits (default: the geometric grid) and ``limit``, past ``done``."""
+    floor = done[-1].limit_reached if done else -math.inf
+    grid = default_snapshot_grid(limit) if grid is None else grid
+    return sorted({int(g) for g in [*grid, limit] if floor < g <= limit})
 
-    ``n0`` is the index n of ``gaps[0]``; the gaps run over n0, n0 + 1, ...
 
-    ``mode`` is "prime" (include gaps with p_{n+1} <= limit) or "index"
-    (n <= limit).  Snapshots are emitted at each snapshot limit (the
-    geometric 10^k / 3*10^k grid when none is given; pass [] for final
-    only) plus a final one at the run limit.  The grid participates in
-    the compensated reduction's grouping, so bit-identical reruns must
-    keep it fixed.  ``on_segment`` receives the resumable state after
-    every consumed segment; ``resume`` restarts from such a state
-    (snapshots below the resume point are not re-emitted).
-    """
-    if mode not in ("prime", "index"):
-        raise ValidationError(f"mode must be 'prime' or 'index', got {mode!r}")
-    if snapshot_limits is None:
-        snapshot_limits = default_snapshot_grid(limit)
-    grid = sorted(set(int(g) for g in snapshot_limits))
-    grid = [g for g in grid if g <= limit]
-    kahan = _Kahan()
-    terms = 0
-    block_kwargs: dict = {}
-    if resume is not None:
-        kahan = _Kahan(resume.kahan_s, resume.kahan_c)
-        terms = resume.terms
-        block_kwargs = dict(
-            start_lo=resume.next_lo,
-            init_last=resume.last_prime,
-            init_n=resume.next_n,
-        )
-        resume_pos = resume.last_prime if mode == "prime" else resume.next_n - 1
-        grid = [g for g in grid if g > resume_pos]
-    snapshots: list[SumSnapshot] = []
-    gi = 0
-    segments_done = 0
-    limit_kw = {"prime_limit": limit} if mode == "prime" else {"index_limit": limit}
-    for block in engine.gap_blocks(
-        workers=workers, segment_slots=segment_slots, **limit_kw, **block_kwargs
-    ):
-        skip = max(0, start_index - block.n0)
-        gaps = block.gaps[skip:]
-        if len(gaps):
-            n0 = block.n0 + skip
-            w = term_fn(gaps, n0)
-            rights = block.rights[skip:]
-            last = int(rights[-1]) if mode == "prime" else n0 + len(gaps) - 1
-            prev = 0
-            while gi < len(grid) and grid[gi] <= last:
-                if mode == "prime":
-                    cut = int(np.searchsorted(rights, grid[gi], side="right"))
-                else:
-                    cut = max(0, grid[gi] - n0 + 1)
-                kahan.add(float(np.sum(w[prev:cut])))
-                terms += cut - prev
-                snapshots.append(
-                    SumSnapshot(mode, grid[gi], kahan.total(), terms, kahan.c)
-                )
-                prev = cut
-                gi += 1
-            kahan.add(float(np.sum(w[prev:])))
-            terms += len(w) - prev
-        segments_done += 1
-        if on_segment is not None:
-            on_segment(
-                AccumulatorState(
-                    next_lo=block.seg_end,
-                    last_prime=int(block.rights[-1]),
-                    next_n=block.n0 + len(block.gaps),
-                    kahan_s=kahan.s,
-                    kahan_c=kahan.c,
-                    terms=terms,
-                )
-            )
-        if stop_after_segments is not None and segments_done >= stop_after_segments:
+def _segments(blocks, stop_after_segments: int | None):
+    """Pass ``blocks`` on; raise RunInterrupted once the budget's last one is consumed."""
+    for done, block in enumerate(blocks, 1):
+        yield block
+        if stop_after_segments is not None and done >= stop_after_segments:
             raise RunInterrupted
-        block = gaps = w = rights = None  # free them before the next segment is sieved
-    if not snapshots or snapshots[-1].limit_reached != limit:
-        snapshots.append(SumSnapshot(mode, limit, kahan.total(), terms, kahan.c))
-    return snapshots
 
 
 # ---------------------------------------------------------------------------
-# Weighted gap sums
+# Weighted gap sums, read from the gap histogram
+
+def _leading_counts(start_index: int) -> Counter:
+    """Counts of the gaps d_n with n < start_index."""
+    if start_index == 1:
+        return Counter()
+    blocks = engine.gap_count_blocks(index_limit=start_index - 1, workers=1)
+    return sum((piece for block in blocks for piece in block.pieces), Counter())
+
+
+def _kept(counts: dict[int, int], leading: Counter) -> dict[int, int]:
+    """Counts of d_1, ..., d_T less the ``leading`` gaps; none if T does not pass them."""
+    if sum(counts.values()) <= leading.total():
+        return {}
+    return {d: c - leading[d] for d, c in counts.items()}
+
+
+def _exact_sum(weight: WeightSpec, counts: dict[int, int]) -> float:
+    """The sum of fl(f(d)) * N(d) over the bins, computed exactly and rounded once."""
+    bins = np.array([d for d, c in counts.items() if c], dtype=np.int64)
+    terms = zip(bins.tolist(), weight.evaluate(bins).tolist())
+    return float(sum((Fraction(w) * counts[d] for d, w in terms), Fraction(0)))
+
 
 def weighted_gap_sum_series(
     weight: WeightSpec,
@@ -247,27 +177,40 @@ def weighted_gap_sum_series(
     on_segment: Callable[[AccumulatorState], None] | None = None,
     stop_after_segments: int | None = None,
 ) -> list[SumSnapshot]:
-    """Snapshots of sum f(d_n), f from ``weight``, over the chosen range."""
-    if (prime_limit is None) == (index_limit is None):
-        raise ValidationError("exactly one of prime_limit and index_limit is required")
+    """Snapshots of sum f(d_n), f from ``weight``, over the chosen range.
+
+    Prime mode sums the gaps with p_{n+1} <= limit, index mode those with
+    n <= limit.  Snapshots fall at each snapshot limit (default: the 10^k,
+    3*10^k grid; [] for the final one only) and at the run limit.
+    ``on_segment`` gets the resumable state after every segment; ``resume``
+    restarts from one, with the snapshots it carries.
+    """
     if not isinstance(weight, WeightSpec):
         raise ValidationError("weight must be a WeightSpec")
-    if prime_limit is not None:
-        mode, limit = "prime", engine._check_limit(prime_limit, 3, "prime_limit")
-    else:
-        mode, limit = "index", engine._check_limit(index_limit, 1, "index_limit")
-    return accumulate_terms(
-        lambda gaps, n0: weight.evaluate(gaps),
-        mode=mode,
-        limit=limit,
-        start_index=weight.start_index,
-        snapshot_limits=snapshot_limits,
-        workers=workers,
-        segment_slots=segment_slots,
-        resume=resume,
-        on_segment=on_segment,
-        stop_after_segments=stop_after_segments,
+    sieve_limit, index_limit = engine._sieve_limit(prime_limit, index_limit)
+    mode, limit = ("prime", sieve_limit) if index_limit is None else ("index", index_limit)
+    state = resume or AccumulatorState()
+    snaps = list(state.snapshots)
+    cuts = _pending_grid(snapshot_limits, limit, snaps)
+    grid, hist, leading = iter(cuts), Counter(state.counts), _leading_counts(weight.start_index)
+    blocks = engine.gap_count_blocks(
+        **{f"{mode}_limit": limit}, cuts=cuts, workers=workers, segment_slots=segment_slots,
+        start_lo=state.next_lo, init_last=state.last_prime, init_n=state.next_n,
     )
+    for block in _segments(blocks, stop_after_segments):
+        for piece in block.pieces[:-1]:
+            hist.update(piece)
+            kept = _kept(hist, leading)
+            value = _exact_sum(weight, kept)
+            snaps.append(SumSnapshot(mode, next(grid), value, sum(kept.values()), 0.0))
+        hist.update(block.pieces[-1])
+        if on_segment is not None:
+            on_segment(AccumulatorState(
+                block.seg_end, block.last_prime, block.next_n,
+                terms=max(0, block.next_n - weight.start_index),
+                counts=dict(hist), snapshots=list(snaps),
+            ))
+    return snaps
 
 
 def weighted_gap_sum(weight: WeightSpec, **kwargs) -> SumSnapshot:
@@ -301,31 +244,52 @@ def erdos_nathanson_series(
     on_segment: Callable[[AccumulatorState], None] | None = None,
     stop_after_segments: int | None = None,
 ) -> list[SumSnapshot]:
-    """Snapshots of sum_{3 <= n <= N} 1 / (d_n n (loglog n)^c)."""
+    """Snapshots of sum_{3 <= n <= N} 1 / (d_n n (loglog n)^c).
+
+    Folded gap by gap with Neumaier steps (module docstring), so the
+    snapshot grid takes part in the grouping.  Snapshots, ``resume`` and
+    ``on_segment`` work as in ``weighted_gap_sum_series``.
+    """
     index_limit = engine._check_limit(index_limit, 3, "index_limit")
     c = float(c)
     if not math.isfinite(c):
         raise ValidationError(f"c must be finite, got {c}")
+    state = resume or AccumulatorState()
+    snaps = list(state.snapshots)
+    grid = _pending_grid(snapshot_limits, index_limit, snaps)
+    s, comp, terms, gi = state.kahan_s, state.kahan_c, state.terms, 0
 
-    def terms(gaps: np.ndarray, n0: int) -> np.ndarray:
-        n = np.arange(n0, n0 + len(gaps), dtype=np.float64)
-        w = gaps * n
-        if c == 0:
-            return 1.0 / w
-        return 1.0 / (w * np.log(np.log(n)) ** c)
+    def add(x: float) -> None:  # one Neumaier step
+        nonlocal s, comp
+        t = s + x
+        comp += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+        s = t
 
-    return accumulate_terms(
-        terms,
-        mode="index",
-        limit=index_limit,
-        start_index=3,
-        snapshot_limits=snapshot_limits,
-        workers=workers,
-        segment_slots=segment_slots,
-        resume=resume,
-        on_segment=on_segment,
-        stop_after_segments=stop_after_segments,
+    blocks = engine.gap_blocks(
+        index_limit=index_limit, workers=workers, segment_slots=segment_slots,
+        start_lo=state.next_lo, init_last=state.last_prime, init_n=state.next_n,
     )
+    for block in _segments(blocks, stop_after_segments):
+        n0 = max(block.n0, 3)
+        n = np.arange(n0, block.n0 + len(block.gaps), dtype=np.float64)
+        w = block.gaps[n0 - block.n0 :] * n
+        w = 1.0 / w if c == 0 else 1.0 / (w * np.log(np.log(n)) ** c)
+        prev = 0
+        while len(w) and gi < len(grid) and grid[gi] < n0 + len(w):
+            cut = max(0, grid[gi] - n0 + 1)
+            add(float(np.sum(w[prev:cut])))
+            terms += cut - prev
+            snaps.append(SumSnapshot("index", grid[gi], s + comp, terms, comp))
+            prev, gi = cut, gi + 1
+        add(float(np.sum(w[prev:])))
+        terms += len(w) - prev
+        if on_segment is not None:
+            on_segment(AccumulatorState(
+                block.seg_end, int(block.rights[-1]), block.n0 + len(block.gaps),
+                s, comp, terms, snapshots=list(snaps),
+            ))
+        block = n = w = None  # free them before the next segment is sieved
+    return snaps
 
 
 def erdos_nathanson_sum(index_limit: int, c: float, **kwargs) -> SumSnapshot:
@@ -348,12 +312,8 @@ def range_split_sum(
     y = log X / loglog X.  Requires X >= 16 so that loglog X > 1, and
     alpha <= 1 so the weight is decreasing on the whole range (the
     decomposition's reading leans on that monotonicity; for plain
-    accumulation of larger alpha use ``weighted_gap_sum``).
-
-    Each range is read from the gap histogram N(d; X) as the exact sum
-    of f(d) * N(d) over its bins, rounded once, so the split is the
-    correctly rounded sum of the per-gap terms and does not depend on
-    segment size or worker count.
+    accumulation of larger alpha use ``weighted_gap_sum``).  Each range
+    is read from the gap histogram like a weighted sum (module docstring).
     """
     x = engine._check_limit(prime_limit, 16, "prime_limit")
     if not isinstance(weight, WeightSpec):
@@ -362,16 +322,13 @@ def range_split_sum(
         raise ValidationError("the range decomposition requires alpha <= 1")
     log_x = math.log(x)
     y = log_x / math.log(log_x)
-    counts = engine.consecutive_gap_counts(x, workers=workers, segment_slots=segment_slots).counts
-    if weight.start_index > 1:  # drop the gaps with n < start_index
-        for rec in engine.gap_stream(index_limit=weight.start_index - 1, workers=1):
-            if rec.p_next <= x:
-                counts[rec.gap] -= 1
-    bins = np.array([d for d, c in counts.items() if c], dtype=np.int64)
-    parts = [Fraction(0)] * 3
-    for d, w in zip(bins.tolist(), weight.evaluate(bins).tolist()):
-        parts[0 if d <= y else 1 if d <= log_x else 2] += Fraction(w) * counts[d]
-    return RangeSplit(x, y, *(float(part) for part in parts))
+    hist = engine.consecutive_gap_counts(x, workers=workers, segment_slots=segment_slots)
+    counts = _kept(hist.counts, _leading_counts(weight.start_index))
+    bounds = (0, y, log_x, math.inf)
+    return RangeSplit(x, y, *(
+        _exact_sum(weight, {d: c for d, c in counts.items() if lo < d <= hi})
+        for lo, hi in zip(bounds, bounds[1:])
+    ))
 
 
 # ---------------------------------------------------------------------------

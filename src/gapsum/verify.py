@@ -18,16 +18,6 @@ from typing import Sequence
 from . import engine, singular, sums
 from .errors import ValidationError
 
-CLAIMS = (
-    "conjecture1",
-    "lemma21",
-    "lemma22",
-    "sieve_bound14",
-    "theorem1_index",
-    "theorem1_prime",
-    "corollary_c",
-)
-
 # Constant in the three-prime sieve bound: 2^3 * 3!.
 SIEVE_BOUND_CONSTANT = 48.0
 

@@ -1,8 +1,11 @@
+import hashlib
+import struct
+
 import pytest
 
 from gapsum import checkpoint
 from gapsum.errors import CheckpointError
-from gapsum.sums import AccumulatorState
+from gapsum.sums import AccumulatorState, SumSnapshot
 
 
 def make_state():
@@ -13,6 +16,11 @@ def make_state():
         kahan_s=123.456789e-3,
         kahan_c=-7.8e-18,
         terms=43389,
+        counts={1: 1, 2: 6000, 4: 5900, 72: 1},
+        snapshots=[
+            SumSnapshot("prime", 10, 2.0, 3, 0.0),
+            SumSnapshot("prime", 30, 0.1 + 0.2, 9, -1.1102230246251565e-17),
+        ],
     )
 
 
@@ -40,7 +48,6 @@ def test_wrong_magic_and_length():
     digest = checkpoint.config_digest({})
     raw = bytearray(checkpoint.Checkpoint("prime", 10, make_state(), digest).pack())
     raw[:4] = b"XXXX"
-    import hashlib
     raw[-8:] = hashlib.sha256(bytes(raw[:-8])).digest()[:8]
     with pytest.raises(CheckpointError):
         checkpoint.unpack(bytes(raw))
@@ -62,3 +69,13 @@ def test_verify_match_rules():
 def test_missing_file():
     with pytest.raises(CheckpointError):
         checkpoint.load("/nonexistent/run.ckpt")
+
+
+def test_version_1_record_refused():
+    # the fixed 88-byte binary layout of version 1, with a valid checksum
+    head = struct.pack("<4sHBxQQQQddQ16s", b"GSCK", 1, 0, 10**8, 524291, 524287, 43390,
+                       0.5, 0.0, 43389, checkpoint.config_digest({}))
+    raw = head + hashlib.sha256(head).digest()[:8]
+    assert len(raw) == 88
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1 "):
+        checkpoint.unpack(raw)

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import importlib.util
 import json
+import struct
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -200,7 +202,7 @@ def test_checkpoint_stop_resume_cycle(tmp_path, monkeypatch):
     assert code == 0
     _, full_rows = read_csv(tmp_path / "full.csv")
     _, resumed_rows = read_csv(tmp_path / "resumed.csv")
-    assert full_rows[-1] == resumed_rows[-1]  # bit-identical final snapshot
+    assert resumed_rows == full_rows  # every snapshot row, to the last bit
 
 
 def test_en_sum_checkpoint_cycle(tmp_path, monkeypatch):
@@ -217,7 +219,7 @@ def test_en_sum_checkpoint_cycle(tmp_path, monkeypatch):
     assert code == 0
     _, full_rows = read_csv(tmp_path / "full.csv")
     _, resumed_rows = read_csv(tmp_path / "resumed.csv")
-    assert full_rows[-1] == resumed_rows[-1]
+    assert resumed_rows == full_rows
 
 
 def test_resume_with_other_alpha_refused(tmp_path, monkeypatch):
@@ -256,6 +258,20 @@ def test_corrupt_checkpoint_refused(tmp_path, monkeypatch):
         tmp_path, monkeypatch,
     )
     assert code == 1
+
+
+def test_version_1_checkpoint_refused(tmp_path, monkeypatch, capsys):
+    # an 88-byte record of the old binary format, checksum intact
+    head = struct.pack("<4sHBxQQQQddQ16s", b"GSCK", 1, 0, 2 * 10**6, 2051, 2039, 309,
+                       0.5, 0.0, 308, bytes(16))
+    (tmp_path / "v1.ckpt").write_bytes(head + hashlib.sha256(head).digest()[:8])
+    code = run_cli(
+        ["weighted-sum", "--limit", "2e6", "--alpha", "0", "--resume", "v1.ckpt"],
+        tmp_path, monkeypatch,
+    )
+    assert code == 1
+    assert "unsupported checkpoint version 1 " in capsys.readouterr().err
+    assert not (tmp_path / "gapsum-weighted-sum.csv").exists()
 
 
 def test_workers_env_override(tmp_path, monkeypatch):

@@ -129,13 +129,13 @@ def test_en_sums_match_brute_force(oracle_primes_1e5):
 
 def test_prime_limit_matches_index_conversion(oracle_primes_1e5):
     # the two modes agree exactly when n is capped at pi(X) - 1
-    # (empty snapshot grids keep the reduction groupings identical)
     x = 10_000
     n_below = sum(1 for p in oracle_primes_1e5 if p <= x) - 1
-    a = sums.weighted_gap_sum(WeightSpec(0.0), prime_limit=x, snapshot_limits=[])
-    b = sums.weighted_gap_sum(WeightSpec(0.0), index_limit=n_below, snapshot_limits=[])
-    assert a.value == b.value
-    assert a.terms == b.terms == n_below
+    for grid in ([], None):
+        a = sums.weighted_gap_sum(WeightSpec(0.0), prime_limit=x, snapshot_limits=grid)
+        b = sums.weighted_gap_sum(WeightSpec(0.0), index_limit=n_below, snapshot_limits=grid)
+        assert a.value == b.value
+        assert a.terms == b.terms == n_below
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def test_snapshot_determinism_across_workers():
 
 
 def test_resume_reproduces_bits():
-    kwargs = dict(prime_limit=2_000_000, snapshot_limits=[10**6], segment_slots=1 << 14)
+    kwargs = dict(prime_limit=2_000_000, snapshot_limits=[10**5, 10**6], segment_slots=1 << 14)
     full = sums.weighted_gap_sum_series(WeightSpec(0.0), **kwargs)
     states = []
     with pytest.raises(sums.RunInterrupted):
@@ -181,13 +181,12 @@ def test_resume_reproduces_bits():
             WeightSpec(0.0), **kwargs, on_segment=states.append, stop_after_segments=9
         )
     resumed = sums.weighted_gap_sum_series(WeightSpec(0.0), **kwargs, resume=states[-1])
-    assert resumed[-1].value == full[-1].value
-    assert resumed[-1].compensation == full[-1].compensation
-    assert resumed[-1].terms == full[-1].terms
+    assert len(states[-1].snapshots) == 1  # the stop falls between the snapshots
+    assert resumed == full
 
 
 def test_resume_reproduces_bits_index_mode():
-    kwargs = dict(snapshot_limits=[10**4], segment_slots=1 << 13)
+    kwargs = dict(snapshot_limits=[10**3, 10**4], segment_slots=1 << 13)
     full = sums.erdos_nathanson_series(100_000, 3.0, **kwargs)
     states = []
     with pytest.raises(sums.RunInterrupted):
@@ -195,7 +194,17 @@ def test_resume_reproduces_bits_index_mode():
             100_000, 3.0, **kwargs, on_segment=states.append, stop_after_segments=5
         )
     resumed = sums.erdos_nathanson_series(100_000, 3.0, **kwargs, resume=states[-1])
-    assert resumed[-1] == full[-1]
+    assert len(states[-1].snapshots) == 1  # the stop falls between the snapshots
+    assert resumed == full
+    with pytest.raises(sums.RunInterrupted):
+        sums.weighted_gap_sum_series(
+            WeightSpec(0.0), index_limit=100_000, **kwargs, on_segment=states.append,
+            stop_after_segments=5,
+        )
+    resumed = sums.weighted_gap_sum_series(
+        WeightSpec(0.0), index_limit=100_000, **kwargs, resume=states[-1]
+    )
+    assert resumed == sums.weighted_gap_sum_series(WeightSpec(0.0), index_limit=100_000, **kwargs)
 
 
 def test_resume_of_completed_run_is_graceful():
@@ -210,17 +219,14 @@ def test_resume_of_completed_run_is_graceful():
 
 
 def test_float_results_stable_across_segment_sizes():
-    # only 1e-12-relative agreement is promised across segment sizes
-    # (the reduction grouping changes); worker counts must be bit-exact
-    values = [
-        sums.weighted_gap_sum(
-            WeightSpec(0.0), prime_limit=500_000, snapshot_limits=[],
-            segment_slots=slots,
-        ).value
-        for slots in (1 << 12, 1 << 15, 1 << 18)
-    ]
-    for v in values[1:]:
-        assert abs(v - values[0]) <= 1e-12 * values[0]
+    # weighted sums are read from the exact histogram, so the segment
+    # size cannot move a bit in either mode
+    for limits in ({"prime_limit": 500_000}, {"index_limit": 40_000}):
+        runs = [
+            sums.weighted_gap_sum_series(WeightSpec(0.0), **limits, segment_slots=slots)
+            for slots in (1 << 12, 1 << 15, 1 << 18)
+        ]
+        assert runs[1] == runs[0] and runs[2] == runs[0], limits
 
 
 # ---------------------------------------------------------------------------
@@ -250,23 +256,37 @@ def test_range_split_validation():
 
 
 def test_range_split_exact_and_invariant(oracle_primes_1e5):
-    # each range is the correctly rounded sum of the per-gap floats, and
-    # the split is identical for every segment size and worker count
+    # each range and each weighted-sum snapshot is the correctly rounded
+    # sum of the per-gap floats, identical for every segment size and
+    # worker count
     x = 100_000
     log_x = math.log(x)
     y = log_x / math.log(log_x)
     gaps = oracles.gap_list(oracle_primes_1e5)
+    grid = [10, 1000, 5000]
     for alpha, start in ((-1.0, 2), (0.0, 1), (1.0, 1), (0.0, 3)):
         parts = [Fraction(0)] * 3
+        prime_cuts = {g: Fraction(0) for g in grid + [x]}
+        index_cuts = {g: Fraction(0) for g in grid + [len(gaps)]}
         for n, d in enumerate(gaps[start - 1 :], start=start):
-            parts[0 if d <= y else 1 if d <= log_x else 2] += Fraction(oracles.weight(alpha, d))
+            w = Fraction(oracles.weight(alpha, d))
+            parts[0 if d <= y else 1 if d <= log_x else 2] += w
+            for g in prime_cuts:
+                prime_cuts[g] += w if oracle_primes_1e5[n] <= g else 0
+            for g in index_cuts:
+                index_cuts[g] += w if n <= g else 0
         expected = sums.RangeSplit(x, y, *(float(part) for part in parts))
-        splits = {
-            sums.range_split_sum(x, WeightSpec(alpha, start), workers=w, segment_slots=s)
-            for w in (1, 2)
-            for s in (1 << 10, 1 << 14, 1 << 18)
-        }
-        assert splits == {expected}, (alpha, start)
+        expected_prime = [float(v) for v in prime_cuts.values()]
+        expected_index = [float(v) for v in index_cuts.values()]
+        for w in (1, 2):
+            for s in (1 << 10, 1 << 14, 1 << 18):
+                weight = WeightSpec(alpha, start)
+                kw = dict(workers=w, segment_slots=s, snapshot_limits=grid)
+                assert sums.range_split_sum(x, weight, workers=w, segment_slots=s) == expected
+                prime = sums.weighted_gap_sum_series(weight, prime_limit=x, **kw)
+                index = sums.weighted_gap_sum_series(weight, index_limit=len(gaps), **kw)
+                assert [snap.value for snap in prime] == expected_prime, (alpha, start, w, s)
+                assert [snap.value for snap in index] == expected_index, (alpha, start, w, s)
 
 
 def test_high_component_bounded_by_count(oracle_primes_1e5):
