@@ -5,7 +5,9 @@ The sieve works on odd integers only.  A segment covers a span of
 of a segment based at ``lo`` represents the odd number ``lo + 2*i``.
 Segments are sieved independently (optionally by worker processes) and
 consumed strictly in increasing order, so every derived stream (primes,
-gaps, counts) is identical for any worker count.
+gaps, counts) is identical for any worker count.  A worker that extracts
+primes sends the segment's gaps as uint16, 2 bytes a prime; ``gap_blocks``
+is the one fold over them, and ``prime_blocks`` rebuilds the primes.
 
 Counting is by sieve only; there is no analytic shortcut, and no
 primality proving for individual large integers.
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -147,30 +148,39 @@ def _sieve_mask(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Worker functions (top level so they pickle under multiprocessing)
 
-def _worker_primes(task: tuple[int, int, int]) -> np.ndarray:
+_WIDE_GAP = "a prime gap exceeds 65535, the width of the uint16 gap transfer"
+
+
+def _worker_gaps(task: tuple[int, int, int]) -> tuple[int, int, np.ndarray] | None:
+    """``_pack_gaps`` of the primes in [lo, hi), or None if there are none."""
     lo, hi, sqrt_cap = task
     primes = np.flatnonzero(_sieve_mask(lo, hi, _odd_base_primes(sqrt_cap)))
+    if len(primes) == 0:
+        return None
     primes <<= 1
     primes += lo
-    return primes
+    return _pack_gaps(primes)
+
+
+def _pack_gaps(primes: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """(first prime, last prime, gaps) for a non-empty sorted prime array.
+
+    ``gaps`` is uint16 with one entry per prime: entry j > 0 is the gap
+    from prime j - 1 to prime j, and entry 0 is left for the gap that
+    enters the segment.  Gaps below 2^63 are at most 1,550 (OEIS A005250);
+    a wider one wraps, so the gaps no longer sum to last - first.
+    """
+    gaps = np.zeros(len(primes), dtype=np.uint16)
+    np.subtract(primes[1:], primes[:-1], out=gaps[1:], casting="unsafe")
+    first, last = int(primes[0]), int(primes[-1])
+    if int(gaps.sum(dtype=np.int64)) != last - first:
+        raise CapacityError(_WIDE_GAP)
+    return first, last, gaps
 
 
 def _worker_count(task: tuple[int, int, int]) -> int:
     lo, hi, sqrt_cap = task
     return int(np.count_nonzero(_sieve_mask(lo, hi, _odd_base_primes(sqrt_cap))))
-
-
-def _worker_gap_counts(task: tuple[int, int, int, tuple[int, ...]]) -> tuple | None:
-    """``_gap_bincounts`` at the prime cuts in [lo, hi), or None if no prime."""
-    lo, hi, sqrt_cap, cuts = task
-    primes = _worker_primes((lo, hi, sqrt_cap))
-    return _gap_bincounts(primes, [c for c in cuts if lo <= c < hi]) if len(primes) else None
-
-
-def _gap_bincounts(primes: np.ndarray, cuts) -> tuple[int, int, list[np.ndarray]]:
-    """(first prime, last prime, bincounts of the gaps between ``primes`` split at each cut)."""
-    parts = np.split(np.diff(primes), np.searchsorted(primes[1:], cuts, "right"))
-    return int(primes[0]), int(primes[-1]), [np.bincount(p) for p in parts]
 
 
 def _worker_tuple_counts(task: tuple[int, int, int, int, tuple[tuple[int, ...], ...]]) -> np.ndarray:
@@ -271,11 +281,14 @@ def prime_blocks(
     boundary recorded in a checkpoint.
     """
     limit = _check_limit(limit, 2)
-    for _, block in _segment_map(
-        _worker_primes, limit, workers=workers, segment_slots=segment_slots, start_lo=start_lo
+    for _, summary in _segment_map(
+        _worker_gaps, limit, workers=workers, segment_slots=segment_slots, start_lo=start_lo
     ):
-        yield block
-        del block  # free it before the next segment is sieved
+        first, _, gaps = summary or (0, 0, np.empty(0, dtype=np.uint16))
+        block = gaps.astype(np.int64)
+        block[:1] = first
+        yield np.cumsum(block, out=block)
+        del block, gaps, summary  # free them before the next segment is sieved
 
 
 def primes_up_to(
@@ -310,16 +323,23 @@ def prime_count(
 class GapBlock:
     """A contiguous run of gaps: gap j is d_n with n = n0 + j.
 
-    ``rights[j]`` is the larger prime of pair j, so prime-limit slicing
-    (p_{n+1} <= X) is a searchsorted on ``rights``.  ``seg_end`` is the
-    sieve segment boundary whose consumption produced the block; it is
-    the restart point a checkpoint records.
+    ``gaps`` is uint16.  ``last_prime`` is the larger prime of the last
+    pair, so ``rights()`` rebuilds every p_{n+1} with one cumsum.
+    ``seg_end`` is the sieve segment boundary whose consumption produced
+    the block; it is the restart point a checkpoint records.  A segment
+    without primes gives a block without gaps.
     """
 
     n0: int
     gaps: np.ndarray
-    rights: np.ndarray
+    last_prime: int
     seg_end: int
+
+    def rights(self) -> np.ndarray:
+        """p_{n+1} for each gap d_n of the block, as int64."""
+        rights = np.cumsum(self.gaps, dtype=np.int64)
+        rights += self.last_prime - int(self.gaps.sum(dtype=np.int64))
+        return rights
 
 
 def gap_blocks(
@@ -332,35 +352,37 @@ def gap_blocks(
     init_last: int = 2,
     init_n: int = 1,
 ) -> Iterator[GapBlock]:
-    """Vectorised gap stream in segment-sized blocks.
+    """The gap stream in one block per sieve segment: the only gap fold.
 
     Exactly one of ``prime_limit`` (include gaps with p_{n+1} <= X) and
     ``index_limit`` (include gaps with n <= N) must be given.  The
     ``start_lo`` / ``init_last`` / ``init_n`` triple restarts the stream
     from checkpointed state; the defaults start from scratch, where the
-    first record pairs 2 with 3.
+    first record pairs 2 with 3.  Workers send each segment's inner gaps;
+    this fold adds the gap that crosses into the segment, numbers the gaps
+    and stops at the index limit.
     """
     sieve_limit, index_limit = _sieve_limit(prime_limit, index_limit)
+    if index_limit is not None and init_n > index_limit:
+        return  # restarted from a run that had already closed the index limit
     last = init_last
     n = init_n
-    for seg_end, block in _segment_map(
-        _worker_primes, sieve_limit, workers=workers, segment_slots=segment_slots,
+    for seg_end, summary in _segment_map(
+        _worker_gaps, sieve_limit, workers=workers, segment_slots=segment_slots,
         start_lo=start_lo,
     ):
-        if len(block) == 0:
-            continue
-        gaps = np.empty_like(block)
-        gaps[0] = block[0] - last
-        np.subtract(block[1:], block[:-1], out=gaps[1:])
-        if index_limit is not None and n + len(gaps) - 1 >= index_limit:
-            keep = index_limit - n + 1
-            if keep > 0:
-                yield GapBlock(n, gaps[:keep], block[:keep], seg_end)
+        first, top, gaps = summary or (last, last, np.empty(0, dtype=np.uint16))
+        if first - last > 0xFFFF:
+            raise CapacityError(_WIDE_GAP)
+        gaps[:1] = first - last
+        if index_limit is not None and n + len(gaps) > index_limit:
+            gaps = gaps[: index_limit - n + 1]
+            yield GapBlock(n, gaps, last + int(gaps.sum(dtype=np.int64)), seg_end)
             return
-        yield GapBlock(n, gaps, block, seg_end)
+        yield GapBlock(n, gaps, top, seg_end)
         n += len(gaps)
-        last = int(block[-1])
-        del block, gaps  # free this segment's arrays before the next is sieved
+        last = top
+        del gaps, summary  # free this segment's arrays before the next is sieved
     if index_limit is not None:
         raise CapacityError("prime enumeration bound exhausted before index limit")
 
@@ -397,84 +419,13 @@ def gap_stream(
         workers=workers,
         segment_slots=segment_slots,
     ):
-        rights = block.rights
-        gaps = block.gaps
-        for j in range(len(gaps)):
-            g = int(gaps[j])
-            r = int(rights[j])
+        for j, (g, r) in enumerate(zip(block.gaps.tolist(), block.rights().tolist())):
             yield GapRecord(block.n0 + j, r - g, r, g)
 
 
-@dataclass(frozen=True)
-class GapCounts:
-    """One segment's gap histogram, split at the cuts that close in it.
-
-    ``pieces[k]`` counts the gaps after cut k - 1 up to cut k; the last
-    piece runs on to the segment end (or the index limit).  The other
-    fields are the restart point after the segment, as in ``gap_blocks``.
-    """
-
-    pieces: list[Counter]
-    seg_end: int
-    last_prime: int
-    next_n: int
-
-
-def gap_count_blocks(
-    *,
-    prime_limit: int | None = None,
-    index_limit: int | None = None,
-    cuts: Sequence[int] = (),
-    workers: int | None = None,
-    segment_slots: int | None = None,
-    start_lo: int = _FIRST_ODD,
-    init_last: int = 2,
-    init_n: int = 1,
-) -> Iterator[GapCounts]:
-    """The gap histogram segment by segment, in order, split at ``cuts``.
-
-    Limits and restart arguments are those of ``gap_blocks``.  A cut c
-    closes the gaps d_n with p_{n+1} <= c (prime limit) or n <= c (index
-    limit); cuts beyond the limit never close.  Workers split their
-    bincounts at the prime cuts and the parent adds each boundary gap, so
-    no primes travel.  Only the parent knows n, so it sieves again each
-    segment holding an index cut.
-    """
-    sieve_limit, index_limit = _sieve_limit(prime_limit, index_limit)
-    cuts = sorted(cuts)
-    if index_limit is not None:
-        if init_n > index_limit:
-            return
-        cuts = [c for c in cuts if c <= index_limit] + [index_limit]
-    sqrt_cap = math.isqrt(sieve_limit) + 1
-    lo, last, n, ci = start_lo, init_last, init_n, 0
-    for hi, summary in _segment_map(
-        _worker_gap_counts, sieve_limit, workers=workers, segment_slots=segment_slots,
-        start_lo=start_lo, extra=(tuple(cuts) if index_limit is None else (),),
-    ):
-        first, top, parts = summary or (None, last, [])
-        if index_limit is None:
-            k = bisect_left(cuts, hi, ci)
-        else:  # the segment holds the gaps n, ..., n + (gaps inside)
-            k = bisect_right(cuts, n + int(parts[0].sum()) if parts else n - 1, ci)
-        values = cuts[ci:k]
-        if index_limit is not None and k > ci:  # sieve again for the primes closing the cuts
-            primes = _worker_primes((lo, hi, sqrt_cap))
-            values = [int(primes[c - n]) if c >= n else last for c in values]
-            parts = _gap_bincounts(primes, values)[2]
-        # cuts below this segment's primes close empty pieces
-        pieces = [Counter() for _ in range(k - ci + 1 - len(parts))]
-        pieces += [Counter({d: c for d, c in enumerate(p.tolist()) if c}) for p in parts]
-        if first is not None:
-            pieces[bisect_left(values, first)][first - last] += 1
-        if index_limit is not None and k == len(cuts):  # the index limit closed here
-            yield GapCounts(pieces[:-1], hi, values[-1], index_limit + 1)
-            return
-        n += sum(piece.total() for piece in pieces)
-        yield GapCounts(pieces, hi, top, n)
-        lo, last, ci = hi, top, k
-    if index_limit is not None:
-        raise CapacityError("prime enumeration bound exhausted before index limit")
+def _gap_counter(gaps: np.ndarray) -> Counter:
+    """N(d) over ``gaps``, from their bincount."""
+    return Counter({d: c for d, c in enumerate(np.bincount(gaps).tolist()) if c})
 
 
 def consecutive_gap_counts(
@@ -485,8 +436,8 @@ def consecutive_gap_counts(
 ) -> GapHistogram:
     """Histogram of consecutive gaps d_n with p_{n+1} <= limit; the integer fold is exact."""
     limit = _check_limit(limit, 3)
-    blocks = gap_count_blocks(prime_limit=limit, workers=workers, segment_slots=segment_slots)
-    hist = sum((block.pieces[0] for block in blocks), Counter())
+    blocks = gap_blocks(prime_limit=limit, workers=workers, segment_slots=segment_slots)
+    hist = sum((_gap_counter(block.gaps) for block in blocks), Counter())
     return GapHistogram(limit, dict(sorted(hist.items())))
 
 

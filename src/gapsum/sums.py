@@ -1,10 +1,11 @@
 """Accumulators over the consecutive-prime gap stream.
 
-A sum of a weight f(d) depends on the gaps only through their histogram
-N(d), so weighted sums and the range split are read from the exact
-integer histogram: each value is the sum of fl(f(d)) * N(d), computed
+Both kinds of sum read the blocks of ``engine.gap_blocks`` and split them
+at the snapshot cuts.  A sum of a weight f(d) depends on the gaps only
+through their histogram N(d), so weighted sums and the range split
+bincount the blocks: each value is the sum of fl(f(d)) * N(d), computed
 exactly and rounded once, which is the correctly rounded sum of the
-per-gap floats.  It does not depend on segment size, worker count or a
+per-gap floats and does not depend on segment size, worker count or a
 resume.  The Erdos-Nathanson series depends on n, so it is folded gap by
 gap with compensated (Neumaier) summation in segment order: bit-identical
 for any worker count and across a resume, while the segment size may
@@ -14,6 +15,7 @@ move its last bit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -132,8 +134,11 @@ def _pending_grid(grid: Sequence[int] | None, limit: int, done: list[SumSnapshot
     return sorted({int(g) for g in [*grid, limit] if floor < g <= limit})
 
 
-def _segments(blocks, stop_after_segments: int | None):
-    """Pass ``blocks`` on; raise RunInterrupted once the budget's last one is consumed."""
+def _segments(state: AccumulatorState, stop_after_segments: int | None, **limits):
+    """The gap blocks from ``state``'s restart point on; raise RunInterrupted
+    once the budget's last one is consumed."""
+    blocks = engine.gap_blocks(**limits, start_lo=state.next_lo, init_last=state.last_prime,
+                               init_n=state.next_n)
     for done, block in enumerate(blocks, 1):
         yield block
         if stop_after_segments is not None and done >= stop_after_segments:
@@ -147,8 +152,26 @@ def _leading_counts(start_index: int) -> Counter:
     """Counts of the gaps d_n with n < start_index."""
     if start_index == 1:
         return Counter()
-    blocks = engine.gap_count_blocks(index_limit=start_index - 1, workers=1)
-    return sum((piece for block in blocks for piece in block.pieces), Counter())
+    blocks = engine.gap_blocks(index_limit=start_index - 1, workers=1)
+    return sum((engine._gap_counter(block.gaps) for block in blocks), Counter())
+
+
+def _closing_cuts(block: engine.GapBlock, cuts: list[int], mode: str) -> list[tuple[int, int]]:
+    """Take the cuts that close in ``block`` off the front of ``cuts``, each with its position.
+
+    Cut c closes the gaps d_n with n <= c (index mode) or p_{n+1} <= c
+    (prime mode); its position is how many of the block's gaps it closes.
+    A prime cut closes in the segment that holds it, and only then are the
+    block's right-hand primes rebuilt to place it.
+    """
+    if mode == "index":
+        closing = cuts[: bisect_left(cuts, block.n0 + len(block.gaps))]
+        positions = [c - block.n0 + 1 for c in closing]
+    else:
+        closing = cuts[: bisect_left(cuts, block.seg_end)]
+        positions = np.searchsorted(block.rights(), closing, "right").tolist() if closing else []
+    del cuts[: len(closing)]
+    return list(zip(closing, positions))
 
 
 def _kept(counts: dict[int, int], leading: Counter) -> dict[int, int]:
@@ -192,22 +215,21 @@ def weighted_gap_sum_series(
     state = resume or AccumulatorState()
     snaps = list(state.snapshots)
     cuts = _pending_grid(snapshot_limits, limit, snaps)
-    grid, hist, leading = iter(cuts), Counter(state.counts), _leading_counts(weight.start_index)
-    blocks = engine.gap_count_blocks(
-        **{f"{mode}_limit": limit}, cuts=cuts, workers=workers, segment_slots=segment_slots,
-        start_lo=state.next_lo, init_last=state.last_prime, init_n=state.next_n,
-    )
-    for block in _segments(blocks, stop_after_segments):
-        for piece in block.pieces[:-1]:
-            hist.update(piece)
+    hist, leading = Counter(state.counts), _leading_counts(weight.start_index)
+    for block in _segments(state, stop_after_segments, **{f"{mode}_limit": limit},
+                           workers=workers, segment_slots=segment_slots):
+        prev = 0
+        for cut, pos in _closing_cuts(block, cuts, mode):
+            hist.update(engine._gap_counter(block.gaps[prev:pos]))
             kept = _kept(hist, leading)
-            value = _exact_sum(weight, kept)
-            snaps.append(SumSnapshot(mode, next(grid), value, sum(kept.values()), 0.0))
-        hist.update(block.pieces[-1])
+            snaps.append(SumSnapshot(mode, cut, _exact_sum(weight, kept), sum(kept.values()), 0.0))
+            prev = pos
+        hist.update(engine._gap_counter(block.gaps[prev:]))
         if on_segment is not None:
+            next_n = block.n0 + len(block.gaps)
             on_segment(AccumulatorState(
-                block.seg_end, block.last_prime, block.next_n,
-                terms=max(0, block.next_n - weight.start_index),
+                block.seg_end, block.last_prime, next_n,
+                terms=max(0, next_n - weight.start_index),
                 counts=dict(hist), snapshots=list(snaps),
             ))
     return snaps
@@ -256,8 +278,8 @@ def erdos_nathanson_series(
         raise ValidationError(f"c must be finite, got {c}")
     state = resume or AccumulatorState()
     snaps = list(state.snapshots)
-    grid = _pending_grid(snapshot_limits, index_limit, snaps)
-    s, comp, terms, gi = state.kahan_s, state.kahan_c, state.terms, 0
+    cuts = _pending_grid(snapshot_limits, index_limit, snaps)
+    s, comp, terms = state.kahan_s, state.kahan_c, state.terms
 
     def add(x: float) -> None:  # one Neumaier step
         nonlocal s, comp
@@ -265,27 +287,24 @@ def erdos_nathanson_series(
         comp += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
         s = t
 
-    blocks = engine.gap_blocks(
-        index_limit=index_limit, workers=workers, segment_slots=segment_slots,
-        start_lo=state.next_lo, init_last=state.last_prime, init_n=state.next_n,
-    )
-    for block in _segments(blocks, stop_after_segments):
+    for block in _segments(state, stop_after_segments, index_limit=index_limit,
+                           workers=workers, segment_slots=segment_slots):
         n0 = max(block.n0, 3)
         n = np.arange(n0, block.n0 + len(block.gaps), dtype=np.float64)
         w = block.gaps[n0 - block.n0 :] * n
         w = 1.0 / w if c == 0 else 1.0 / (w * np.log(np.log(n)) ** c)
         prev = 0
-        while len(w) and gi < len(grid) and grid[gi] < n0 + len(w):
-            cut = max(0, grid[gi] - n0 + 1)
-            add(float(np.sum(w[prev:cut])))
-            terms += cut - prev
-            snaps.append(SumSnapshot("index", grid[gi], s + comp, terms, comp))
-            prev, gi = cut, gi + 1
+        for cut, pos in _closing_cuts(block, cuts, "index"):
+            pos = max(0, pos - (n0 - block.n0))
+            add(float(np.sum(w[prev:pos])))
+            terms += pos - prev
+            snaps.append(SumSnapshot("index", cut, s + comp, terms, comp))
+            prev = pos
         add(float(np.sum(w[prev:])))
         terms += len(w) - prev
         if on_segment is not None:
             on_segment(AccumulatorState(
-                block.seg_end, int(block.rights[-1]), block.n0 + len(block.gaps),
+                block.seg_end, block.last_prime, block.n0 + len(block.gaps),
                 s, comp, terms, snapshots=list(snaps),
             ))
         block = n = w = None  # free them before the next segment is sieved

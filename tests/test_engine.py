@@ -212,6 +212,14 @@ def test_determinism_across_workers_and_segment_sizes(oracle_primes_1e5):
         for workers, slots in [(1, 1 << 10), (2, 1 << 10), (3, 1 << 12), (1, 1 << 18)]:
             got = engine.consecutive_gap_counts(x, workers=workers, segment_slots=slots)
             assert got.counts == histogram, (x, workers, slots)
+    # prime blocks are rebuilt from the workers' uint16 gaps
+    for x in (100_000, 2051):
+        expected = [p for p in oracle_primes_1e5 if 2 < p <= x]
+        for workers in (1, 2, 3):
+            for slots in (1 << 10, 1 << 12):
+                blocks = list(engine.prime_blocks(x, workers=workers, segment_slots=slots))
+                assert all(block.dtype == np.int64 for block in blocks)
+                assert np.concatenate(blocks).tolist() == expected, (x, workers, slots)
 
 
 def test_segment_slots_validation():
@@ -248,3 +256,16 @@ def test_prime_blocks_restart_from_segment_boundary():
     tail = list(engine.prime_blocks(100_000, segment_slots=slots, start_lo=boundary))
     stitched = np.concatenate(head + tail)
     assert np.array_equal(stitched, full)
+
+
+def test_gap_wider_than_uint16_raises(monkeypatch):
+    primes = np.array([3, 5, 7 + 65_536, 7 + 65_538], dtype=np.int64)
+    first, last, gaps = engine._pack_gaps(primes[:2])
+    assert (first, last, gaps.dtype, gaps.tolist()) == (3, 5, np.uint16, [0, 2])
+    with pytest.raises(CapacityError):
+        engine._pack_gaps(primes)  # the gap 65,538 wraps in uint16
+    # the gap that enters a segment is checked in the fold
+    far = 3 + 65_536 * 2
+    monkeypatch.setattr(engine, "_worker_gaps", lambda task: (far, far, np.zeros(1, np.uint16)))
+    with pytest.raises(CapacityError):
+        next(engine.gap_blocks(prime_limit=10**6, workers=1))

@@ -208,14 +208,19 @@ def test_resume_reproduces_bits_index_mode():
 
 
 def test_resume_of_completed_run_is_graceful():
-    kwargs = dict(prime_limit=300_000, snapshot_limits=[], segment_slots=1 << 14)
-    states = []
-    full = sums.weighted_gap_sum_series(WeightSpec(0.0), **kwargs, on_segment=states.append)
-    # the last state marks a finished run; resuming from it must re-emit
-    # the same final snapshot without consuming anything
-    again = sums.weighted_gap_sum_series(WeightSpec(0.0), **kwargs, resume=states[-1])
-    assert again[-1].value == full[-1].value
-    assert again[-1].terms == full[-1].terms
+    runs = [  # a prime-limit weighted sum, and an index-limit series whose one segment closes it
+        (lambda **kw: sums.weighted_gap_sum_series(WeightSpec(0.0), prime_limit=300_000, **kw),
+         1 << 14),
+        (lambda **kw: sums.erdos_nathanson_series(10, 2.0, **kw), 1 << 10),
+    ]
+    for series, slots in runs:
+        states = []
+        full = series(snapshot_limits=[], segment_slots=slots, on_segment=states.append)
+        # the last state marks a finished run; resuming from it must re-emit
+        # the same final snapshot without consuming anything
+        again = series(snapshot_limits=[], segment_slots=slots, resume=states[-1])
+        assert again[-1].value == full[-1].value
+        assert again[-1].terms == full[-1].terms
 
 
 def test_float_results_stable_across_segment_sizes():
@@ -263,7 +268,9 @@ def test_range_split_exact_and_invariant(oracle_primes_1e5):
     log_x = math.log(x)
     y = log_x / math.log(log_x)
     gaps = oracles.gap_list(oracle_primes_1e5)
-    grid = [10, 1000, 5000]
+    # with 2^10 slots the gap 2039 -> 2053 crosses the segment boundary at
+    # 2051, and p_309 = 2039: both cuts close on that boundary gap
+    grid = [10, 309, 1000, 2053, 5000]
     for alpha, start in ((-1.0, 2), (0.0, 1), (1.0, 1), (0.0, 3)):
         parts = [Fraction(0)] * 3
         prime_cuts = {g: Fraction(0) for g in grid + [x]}
