@@ -154,26 +154,24 @@ _WIDE_GAP = "a prime gap exceeds 65535, the width of the uint16 gap transfer"
 def _worker_gaps(task: tuple[int, int, int]) -> tuple[int, int, np.ndarray] | None:
     """``_pack_gaps`` of the primes in [lo, hi), or None if there are none."""
     lo, hi, sqrt_cap = task
-    primes = np.flatnonzero(_sieve_mask(lo, hi, _odd_base_primes(sqrt_cap)))
-    if len(primes) == 0:
-        return None
-    primes <<= 1
-    primes += lo
-    return _pack_gaps(primes)
+    slots = np.flatnonzero(_sieve_mask(lo, hi, _odd_base_primes(sqrt_cap)))
+    return _pack_gaps(lo, slots) if len(slots) else None
 
 
-def _pack_gaps(primes: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """(first prime, last prime, gaps) for a non-empty sorted prime array.
+def _pack_gaps(lo: int, slots: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """(first prime, last prime, gaps) of the primes lo + 2*slot, for sorted ``slots``.
 
     ``gaps`` is uint16 with one entry per prime: entry j > 0 is the gap
     from prime j - 1 to prime j, and entry 0 is left for the gap that
-    enters the segment.  Gaps below 2^63 are at most 1,550 (OEIS A005250);
-    a wider one wraps, so the gaps no longer sum to last - first.
+    enters the segment.  Gaps below 2^63 are at most 1,550 (OEIS A005250).
+    A wider one wraps to a smaller value, so the gaps no longer sum to
+    last - first, and that sum stays below 2^32.
     """
-    gaps = np.zeros(len(primes), dtype=np.uint16)
-    np.subtract(primes[1:], primes[:-1], out=gaps[1:], casting="unsafe")
-    first, last = int(primes[0]), int(primes[-1])
-    if int(gaps.sum(dtype=np.int64)) != last - first:
+    gaps = np.zeros(len(slots), dtype=np.uint16)
+    np.subtract(slots[1:], slots[:-1], out=gaps[1:], casting="unsafe")
+    gaps <<= 1
+    first, last = lo + 2 * int(slots[0]), lo + 2 * int(slots[-1])
+    if int(gaps.sum(dtype=np.uint32)) != last - first:
         raise CapacityError(_WIDE_GAP)
     return first, last, gaps
 

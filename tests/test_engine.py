@@ -259,11 +259,13 @@ def test_prime_blocks_restart_from_segment_boundary():
 
 
 def test_gap_wider_than_uint16_raises(monkeypatch):
-    primes = np.array([3, 5, 7 + 65_536, 7 + 65_538], dtype=np.int64)
-    first, last, gaps = engine._pack_gaps(primes[:2])
-    assert (first, last, gaps.dtype, gaps.tolist()) == (3, 5, np.uint16, [0, 2])
-    with pytest.raises(CapacityError):
-        engine._pack_gaps(primes)  # the gap 65,538 wraps in uint16
+    # synthetic primes lo + 2*slot with lo = 3
+    slots = (np.array([3, 5, 7, 7 + 65_536, 7 + 3 * 65_536], dtype=np.int64) - 3) // 2
+    first, last, gaps = engine._pack_gaps(3, slots[:3])
+    assert (first, last, gaps.dtype, gaps.tolist()) == (3, 7, np.uint16, [0, 2, 2])
+    for wide in (slots[:4], slots[[0, 1, 2, 4]]):  # gaps 65,536 and 196,608
+        with pytest.raises(CapacityError):
+            engine._pack_gaps(3, wide)
     # the gap that enters a segment is checked in the fold
     far = 3 + 65_536 * 2
     monkeypatch.setattr(engine, "_worker_gaps", lambda task: (far, far, np.zeros(1, np.uint16)))
