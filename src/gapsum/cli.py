@@ -261,7 +261,7 @@ _STREAM = {
 }
 
 COMMANDS = {
-    "sieve-stats": Command("prime count and largest prime up to a limit",
+    "sieve-stats": Command("prime count up to a limit",
                            {"--limit": _COUNT}, _sieve_stats),
     "gaps-histogram": Command("histogram of consecutive gaps",
                               {"--limit": _COUNT}, _gaps_histogram),

@@ -5,9 +5,10 @@ The sieve works on odd integers only.  A segment covers a span of
 of a segment based at ``lo`` represents the odd number ``lo + 2*i``.
 Segments are sieved independently (optionally by worker processes) and
 consumed strictly in increasing order, so every derived stream (primes,
-gaps, counts) is identical for any worker count.  A worker that extracts
-primes sends the segment's gaps as uint16, 2 bytes a prime; ``gap_blocks``
-is the one fold over them, and ``prime_blocks`` rebuilds the primes.
+gaps, counts) is identical for any worker count.  ``_sieve_mask`` is the
+one kernel, also for the base primes.  ``gap_blocks`` is the one fold over
+the uint16 gaps the gap worker sends, 2 bytes a prime, and ``prime_blocks``
+reads it; the tuple worker counts tuples, ``prime_count`` that of (0,).
 
 Counting is by sieve only; there is no analytic shortcut, and no
 primality proving for individual large integers.
@@ -89,17 +90,11 @@ def _check_limit(limit: int, minimum: int, what: str = "limit") -> int:
 
 @lru_cache(maxsize=4)
 def _odd_base_primes(limit: int) -> np.ndarray:
-    """Odd primes <= limit via a dense odd-only sieve (used for base primes)."""
+    """Odd primes <= limit, sieved by ``_sieve_mask`` over the base primes to sqrt(limit)."""
     if limit < 3:
         return np.empty(0, dtype=np.int64)
-    half = (limit + 1) // 2  # slots for odds 1, 3, 5, ...
-    mask = np.ones(half, dtype=bool)
-    mask[0] = False  # 1 is not prime
-    for i in range(1, (math.isqrt(limit) + 1) // 2 + 1):
-        if mask[i]:
-            p = 2 * i + 1
-            mask[(p * p - 1) // 2 :: p] = False
-    return (np.flatnonzero(mask).astype(np.int64) << 1) + 1
+    mask = _sieve_mask(_FIRST_ODD, limit + 1, _odd_base_primes(math.isqrt(limit)))
+    return (np.flatnonzero(mask) << 1) + _FIRST_ODD
 
 
 # Wheel pre-sieve: every segment mask starts as a copy of the odd numbers
@@ -176,11 +171,6 @@ def _pack_gaps(lo: int, slots: np.ndarray) -> tuple[int, int, np.ndarray]:
     return first, last, gaps
 
 
-def _worker_count(task: tuple[int, int, int]) -> int:
-    lo, hi, sqrt_cap = task
-    return int(np.count_nonzero(_sieve_mask(lo, hi, _odd_base_primes(sqrt_cap))))
-
-
 def _worker_tuple_counts(task: tuple[int, int, int, int, tuple[tuple[int, ...], ...]]) -> np.ndarray:
     """Count tuple starts n in [lo, hi) with n + h_max <= limit, per tuple.
 
@@ -192,16 +182,17 @@ def _worker_tuple_counts(task: tuple[int, int, int, int, tuple[tuple[int, ...], 
     hi_ext = min(hi + ext, limit + 1)
     mask = _sieve_mask(lo, hi_ext, _odd_base_primes(sqrt_cap))
     out = np.zeros(len(tuples), dtype=np.int64)
+    # one buffer for every tuple of two or more offsets; (0,) counts the mask itself
+    scratch = np.empty((hi - lo + 1) // 2 if max(map(len, tuples)) > 1 else 0, dtype=bool)
     for j, offsets in enumerate(tuples):
         hmax = offsets[-1]
         top = min(hi, limit - hmax + 1)  # n must satisfy n + hmax <= limit
         core = (top - lo + 1) // 2
         if core <= 0:
             continue
-        acc = mask[:core].copy()
+        acc = mask[:core]  # a view, so a one-offset tuple counts without a copy
         for h in offsets[1:]:
-            d = h // 2
-            acc &= mask[d : d + core]
+            acc = np.logical_and(acc, mask[h // 2 : h // 2 + core], out=scratch[:core])
         out[j] = int(np.count_nonzero(acc))
     return out
 
@@ -270,23 +261,15 @@ def prime_blocks(
     *,
     workers: int | None = None,
     segment_slots: int | None = None,
-    start_lo: int = _FIRST_ODD,
 ) -> Iterator[np.ndarray]:
     """Yield int64 arrays of the odd primes in successive segments up to ``limit``.
 
     The prime 2 is not included; callers that need it prepend it
-    themselves.  ``start_lo`` admits restarting mid-run from a segment
-    boundary recorded in a checkpoint.
+    themselves.  Each array is ``rights()`` of one ``gap_blocks`` block.
     """
-    limit = _check_limit(limit, 2)
-    for _, summary in _segment_map(
-        _worker_gaps, limit, workers=workers, segment_slots=segment_slots, start_lo=start_lo
-    ):
-        first, _, gaps = summary or (0, 0, np.empty(0, dtype=np.uint16))
-        block = gaps.astype(np.int64)
-        block[:1] = first
-        yield np.cumsum(block, out=block)
-        del block, gaps, summary  # free them before the next segment is sieved
+    if _check_limit(limit, 2) > 2:
+        blocks = gap_blocks(prime_limit=limit, workers=workers, segment_slots=segment_slots)
+        yield from (block.rights() for block in blocks)
 
 
 def primes_up_to(
@@ -309,9 +292,7 @@ def prime_count(
     segment_slots: int | None = None,
 ) -> int:
     """pi(limit): the number of primes <= limit."""
-    limit = _check_limit(limit, 2)
-    segments = _segment_map(_worker_count, limit, workers=workers, segment_slots=segment_slots)
-    return 1 + sum(count for _, count in segments)
+    return tuple_count(limit, (0,), workers=workers, segment_slots=segment_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +316,10 @@ class GapBlock:
 
     def rights(self) -> np.ndarray:
         """p_{n+1} for each gap d_n of the block, as int64."""
-        rights = np.cumsum(self.gaps, dtype=np.int64)
-        rights += self.last_prime - int(self.gaps.sum(dtype=np.int64))
-        return rights
+        rights = self.gaps.astype(np.int64)
+        # the gaps of one segment sum to less than 2^32 (see _pack_gaps)
+        rights[:1] += self.last_prime - int(self.gaps.sum(dtype=np.uint32))
+        return np.cumsum(rights, out=rights)
 
 
 def gap_blocks(
@@ -491,33 +473,25 @@ def tuple_counts(
     """pi(limit; H) for each H in one sieve pass.
 
     Counts n with n + max(H) <= limit such that n + h is prime for every
-    offset h.  Tuples with an odd offset force one member to be even, so
-    n = 2 is the only candidate and is checked directly.
+    offset h.  The start n = 2 is checked directly; the sieve counts the
+    odd starts, which only tuples of even offsets can have.
     """
     limit = _check_limit(limit, 2)
     normalized = [_normalize_offsets(h) for h in tuple_list]
-    results: list[int | None] = [None] * len(normalized)
-    even_idx = []
-    for j, offsets in enumerate(normalized):
-        if limit < offsets[-1] + 2:
-            results[j] = 0
-        elif len(offsets) == 1:
-            results[j] = prime_count(limit, workers=workers, segment_slots=segment_slots)
-        elif any(h % 2 for h in offsets):
-            results[j] = int(all(_is_prime(2 + h) for h in offsets))
-        else:
-            even_idx.append(j)
-    if even_idx:
-        tuples = tuple(normalized[j] for j in even_idx)
+    results = [int(h[-1] + 2 <= limit and all(_is_prime(2 + x) for x in h)) for h in normalized]
+    sieved = [j for j, h in enumerate(normalized)
+              if h[-1] + 3 <= limit and not any(x % 2 for x in h)]
+    if sieved:
+        tuples = tuple(normalized[j] for j in sieved)
         total = np.zeros(len(tuples), dtype=np.int64)
         for _, part in _segment_map(
             _worker_tuple_counts, limit, workers=workers, segment_slots=segment_slots,
             extra=(limit, tuples),
         ):
             total += part
-        for pos, j in enumerate(even_idx):
-            results[j] = int(total[pos])
-    return results  # type: ignore[return-value]
+        for j, count in zip(sieved, total.tolist()):
+            results[j] += count
+    return results
 
 
 def tuple_count(

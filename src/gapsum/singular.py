@@ -148,12 +148,15 @@ def _distinct_prime_factors(n: int) -> list[int]:
             while n % p == 0:
                 n //= p
     f = 7
-    # wheel over 7, 11, 13, ... is unnecessary at the sizes seen here
-    while f * f <= n:
+    # wheel over 7, 11, 13, ... is unnecessary at the sizes seen here; the
+    # division stops at a prime cofactor (Miller-Rabin is exact below 2^64)
+    prime_left = n < 1 << 64 and engine._is_prime(n)
+    while not prime_left and f * f <= n:
         if n % f == 0:
             out.append(f)
             while n % f == 0:
                 n //= f
+            prime_left = n < 1 << 64 and engine._is_prime(n)
         f += 2
     if n > 1:
         out.append(n)

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -66,13 +67,23 @@ def test_twin_prime_counts_published_values():
     extra=st.integers(0, 64),
     wide_base=st.booleans(),
 )
-def test_sieve_mask_matches_per_prime_oracle(lo, slots, extra, wide_base):
+def test_sieve_mask_matches_per_prime_oracle(lo, slots, extra, wide_base, oracle_primes_1e5):
     hi = lo + 2 * slots + extra
-    # callers pass the base primes for the whole run, which may reach past sqrt(hi)
+    # callers pass the base primes for the whole run, which may reach past sqrt(hi);
+    # they come from the oracle, since the kernel also builds engine._odd_base_primes
     cap = 100_001 if wide_base else math.isqrt(hi - 1)
-    base = engine._odd_base_primes(cap)
+    base = np.array(oracle_primes_1e5[1 : bisect.bisect_right(oracle_primes_1e5, cap)], np.int64)
     got = engine._sieve_mask(lo, hi, base)
     assert np.array_equal(got, oracles.segment_mask(lo, hi, base))
+
+
+def test_odd_base_primes_match_oracle(oracle_primes_1e5):
+    # the kernel sieves them over _odd_base_primes(isqrt(x)); 1..2000 crosses the
+    # wheel primes and the recursion's edges 9, 25, 169 and 289
+    odd = oracle_primes_1e5[1:]
+    for x in range(1, 2001):
+        assert engine._odd_base_primes(x).tolist() == odd[: bisect.bisect_right(odd, x)], x
+    assert engine._odd_base_primes(100_000).tolist() == odd
 
 
 def test_gap_stream_prime_limit_smallest():
@@ -120,6 +131,27 @@ def test_tuple_count_examples():
 
 def test_tuple_count_trivial_tuple_counts_primes():
     assert engine.tuple_count(100, (0,)) == 25
+
+
+def test_tuple_count_start_two_hand_values():
+    assert engine.tuple_count(2, (0,)) == 1
+    assert engine.tuple_count(3, (0, 1)) == 1
+    assert engine.tuple_count(4, (0, 2)) == 0
+
+
+def test_tuple_counts_share_one_pass(monkeypatch, oracle_prime_set_1e5):
+    calls = []
+    segment_map = engine._segment_map
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return segment_map(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_segment_map", counted)
+    tuples = [(0,), (0, 2), (0, 1), (0, 2, 6)]
+    got = engine.tuple_counts(10**5, tuples)
+    assert calls == [engine._worker_tuple_counts]
+    assert got == [oracles.tuple_count(10**5, h, oracle_prime_set_1e5) for h in tuples]
 
 
 def test_tuple_count_small_limit_returns_zero():
@@ -248,14 +280,21 @@ def test_prime_value_bound_is_an_upper_bound(oracle_primes_1e5):
         assert oracle_primes_1e5[n - 1] <= engine._prime_value_bound(n)
 
 
-def test_prime_blocks_restart_from_segment_boundary():
+def test_gap_blocks_restart_from_segment_boundary():
     slots = 1 << 12
-    full = np.concatenate(list(engine.prime_blocks(100_000, segment_slots=slots)))
-    boundary = 3 + 4 * 2 * slots  # resume after four segments
-    head = [b for b in engine.prime_blocks(100_000, segment_slots=slots)][:4]
-    tail = list(engine.prime_blocks(100_000, segment_slots=slots, start_lo=boundary))
-    stitched = np.concatenate(head + tail)
-    assert np.array_equal(stitched, full)
+    full = list(engine.gap_blocks(prime_limit=100_000, segment_slots=slots))
+    head = full[:4]  # resume after four segments, as a checkpoint records them
+    last = head[-1]
+    assert last.seg_end == 3 + 4 * 2 * slots
+    tail = list(engine.gap_blocks(
+        prime_limit=100_000, segment_slots=slots, start_lo=last.seg_end,
+        init_last=last.last_prime, init_n=last.n0 + len(last.gaps),
+    ))
+    stitched = head + tail
+    assert [b.n0 for b in stitched] == [b.n0 for b in full]
+    for part in (lambda b: b.gaps, lambda b: b.rights()):
+        assert np.array_equal(np.concatenate([part(b) for b in stitched]),
+                              np.concatenate([part(b) for b in full]))
 
 
 def test_gap_wider_than_uint16_raises(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import pytest
@@ -176,6 +177,19 @@ def test_pair_singular_large_prime_factor():
     sv = singular.pair_singular(2 * p)
     expected = 2 * singular._c2().value * (p - 1) / (p - 2)
     assert sv.value == pytest.approx(expected, rel=1e-15)
+
+
+def test_factoring_stops_at_a_prime_cofactor():
+    # trial division up to sqrt(d) would take minutes on each of these
+    m61 = 2**61 - 1
+    assert singular._distinct_prime_factors(2 * m61) == [2, m61]
+    # the cofactor is tested again after each factor found
+    assert singular._distinct_prime_factors(2 * 1_299_709 * m61) == [2, 1_299_709, m61]
+    singular._c2()
+    start = time.perf_counter()
+    sv = singular.pair_singular(2 * m61)
+    assert time.perf_counter() - start < 1.0
+    assert sv.value == pytest.approx(2 * singular._c2().value * (m61 - 1) / (m61 - 2), rel=1e-15)
 
 
 def test_tuple_singular_correction_prime_above_truncation():
