@@ -23,6 +23,7 @@ source.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -131,7 +132,13 @@ def _spf_table() -> np.ndarray:
 
 
 def _distinct_prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1, smallest first."""
+    """Distinct prime factors of n >= 1, smallest first.
+
+    Below 2^20 the table answers; above it 2, 3 and 5 are divided out and
+    a cofactor below 2^64 is split by Pollard-Brent rho, each part tested
+    with Miller-Rabin (exact below 2^64).  A cofactor at or above 2^64 is
+    trial-divided until it drops below 2^64 or is exhausted.
+    """
     n = int(n)
     out: list[int] = []
     if n < _SPF_SIZE:
@@ -148,19 +155,58 @@ def _distinct_prime_factors(n: int) -> list[int]:
             while n % p == 0:
                 n //= p
     f = 7
-    # wheel over 7, 11, 13, ... is unnecessary at the sizes seen here; the
-    # division stops at a prime cofactor (Miller-Rabin is exact below 2^64)
-    prime_left = n < 1 << 64 and engine._is_prime(n)
-    while not prime_left and f * f <= n:
+    while n >= 1 << 64 and f * f <= n:
         if n % f == 0:
             out.append(f)
             while n % f == 0:
                 n //= f
-            prime_left = n < 1 << 64 and engine._is_prime(n)
         f += 2
-    if n > 1:
+    if n >= 1 << 64:
         out.append(n)
+    elif n > 1:
+        out.extend(sorted(_rho_prime_factors(n)))
     return out
+
+
+def _rho_prime_factors(n: int) -> set[int]:
+    """Distinct prime factors of an odd 1 < n < 2^64."""
+    if engine._is_prime(n):
+        return {n}
+    f = _brent_factor(n)
+    return _rho_prime_factors(f) | _rho_prime_factors(n // f)
+
+
+def _brent_factor(n: int) -> int:
+    """A proper factor of an odd composite n (Brent's variant of Pollard rho).
+
+    Iterates y -> y^2 + c mod n from y = 2, batching 128 differences into
+    one gcd and backtracking one step at a time when a batch overshoots;
+    c = 1, 2, ... until the factor is proper, so the result is
+    deterministic.
+    """
+    batch = 128
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +502,50 @@ def tuple_singular(h, truncation: int = DEFAULT_TRUNCATION) -> SingularValue:
 
 _PAIR_SWEEP_CAP = 100_000_000  # 8 bytes per odd number below limit/2
 
+# Primes above sqrt(m_max) per fancy-index round of the pair sweep; the
+# round's temporaries are a few arrays of this length.
+_SWEEP_CHUNK = 2048
+
+
+def _pair_weights(m_max: int) -> np.ndarray:
+    """h(m) = prod_{p | m} (p-1)/(p-2) at slot (m-1)/2 for odd m <= m_max.
+
+    Each slot's factors are multiplied in increasing p, whatever route a
+    prime takes.  Primes p <= sqrt(m_max) make one strided multiply each.
+    An odd m <= m_max has at most one prime factor above sqrt(m_max) and
+    that factor comes last, so the larger primes are applied afterwards,
+    a chunk at a time: each round multiplies every prime's next odd
+    multiple by one fancy-index multiply (no slot twice in a round, as the
+    multiples of distinct large primes are distinct), then advances each
+    slot by p.  Every slot sees the same rounded products in the same
+    order as a per-prime loop, so the weights are identical bit for bit.
+    """
+    primes = engine._odd_base_primes(m_max)  # before the weights: the sieve's temporaries are gone
+    weights = np.ones(max((m_max + 1) // 2, 1))  # odd m = 2i + 1
+    n_small = int(np.searchsorted(primes, math.isqrt(m_max), side="right"))
+    for p in primes[:n_small].tolist():
+        weights[(p - 1) // 2 :: p] *= (p - 1.0) / (p - 2.0)
+    for lo in range(n_small, len(primes), _SWEEP_CHUNK):
+        ps = primes[lo : lo + _SWEEP_CHUNK]
+        factors = (ps - 1.0) / (ps - 2.0)
+        slots = (ps - 1) // 2
+        while len(slots):
+            weights[slots] *= factors
+            slots += ps
+            live = int(np.searchsorted(slots, len(weights)))  # slots rise with p
+            ps, factors, slots = ps[:live], factors[:live], slots[:live]
+    return weights
+
 
 def pair_singular_sum_grid(limits: Sequence[int]) -> list[PairSumState]:
     """sum_{d <= X} S({0, d}) for every X in ``limits``, in one sweep.
 
     Writing even d = 2^a * m with m odd, S({0, d}) = 2 C2 h(m) where
     h(m) = prod_{p | m} (p-1)/(p-2).  The sweep builds h for all odd
-    m <= max(limits)/2 by one strided multiply per odd prime, then reads
-    the total for each X as sum_{a >= 1} H(X >> a) with H a prefix sum.
+    m <= max(limits)/2 (``_pair_weights``, identical bit for bit to one
+    strided multiply per odd prime), then reads the total for each X as
+    sum_{a >= 1} H(X >> a) with H a prefix sum.  Peak memory is the
+    weights plus one chunk of the large-prime rounds.
 
     The error term is total - X + log(X)/2.
     """
@@ -478,12 +560,7 @@ def pair_singular_sum_grid(limits: Sequence[int]) -> list[PairSumState]:
         raise CapacityError(
             f"sweep limit {x_max} above the documented memory cap {_PAIR_SWEEP_CAP}"
         )
-    m_max = x_max // 2
-    n_slots = (m_max + 1) // 2  # odd m = 2i + 1
-    weights = np.ones(max(n_slots, 1))
-    for p in engine._odd_base_primes(m_max):
-        p = int(p)
-        weights[(p - 1) // 2 :: p] *= (p - 1.0) / (p - 2.0)
+    weights = _pair_weights(x_max // 2)
 
     cut_slots = sorted({(x >> a) + 1 >> 1 for x in xs for a in range(1, x.bit_length())})
     prefix: dict[int, float] = {}
@@ -514,19 +591,45 @@ def triple_row_sum(d: int, truncation: int = DEFAULT_TRUNCATION) -> RowSum:
     Only even d is meaningful (odd d makes every pair {0, d} odd-spaced).
     d = 2 is degenerate: the single row entry {0, 1, 2} is inadmissible,
     so the sum and ratio are exactly 0.
+
+    The row is one float64 array over the even h = 2i (odd h is
+    inadmissible mod 2), built with the same multiplications per h as
+    ``tuple_singular((0, h, d))``: the p = 2 and p = 3 factors from
+    v = |{0, h, d} mod 3| (zero when v = 3), the generic product, then for
+    each prime q > 3 in increasing order (q - v)/(q - 3) wherever q divides
+    h, d - h or d.  Each entry is therefore that value bit for bit; the
+    sum is ``math.fsum`` of them and the error bound their left-to-right
+    sum, as a loop over h would give.
     """
     d = int(d)
     if d < 2 or d % 2:
         raise ValidationError("row sums are defined for even d >= 2")
     if d == 2:
         return RowSum(0.0, 0.0, 0.0)
-    parts = []
-    err = 0.0
-    for h in range(1, d):
-        sv = tuple_singular((0, h, d), truncation)
-        if sv.value:
-            parts.append(sv.value)
-            err += sv.abs_error
-    total = math.fsum(parts)
+    p_cut = int(truncation)
+    if p_cut < 3:
+        raise ValidationError(f"truncation {p_cut} below tuple size 3")
+    gen, gen_err = _generic_product(3)
+    # the value before the corrections, by v = |{0, h, d} mod 3|: the
+    # p = 2 factor is 4 for even h, and v = 3 is inadmissible
+    start = np.zeros(4)
+    for v in (1, 2):
+        start[v] = 4.0 * ((1.0 - v / 3) * (1.0 - 1.0 / 3) ** -3) * gen
+    half = d // 2
+    h3 = np.arange(0, d, 2) % 3  # h = 2i; i = 0 is not in the row
+    row = start[1 + (h3 != 0) + ((h3 != d % 3) & (d % 3 != 0))]
+    row[0] = 0.0
+    for q in engine._odd_base_primes(half)[1:].tolist():  # from 5 on
+        if half % q:  # q | h iff q | i, and q | d - h iff q | half - i
+            row[q::q] *= (q - 2) / (q - 3)
+            row[half % q :: q] *= (q - 2) / (q - 3)
+        else:  # q | d: v = 1 where q | h, else 2
+            divisible = row[q::q] * ((q - 1) / (q - 3))
+            row *= (q - 2) / (q - 3)
+            row[q::q] = divisible
+    values = row[row != 0.0]
+    total = math.fsum(values.tolist())
+    errors = values * (math.expm1(12 / (p_cut - 1)) + gen_err / gen)
+    err = float(np.cumsum(errors)[-1]) if len(errors) else 0.0
     denom = d * pair_singular(d).value
     return RowSum(total, total / denom, err)

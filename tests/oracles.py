@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive and shares no code with the
 package: trial division for primality, direct loops for counts and
-sums, and a per-prime segment sieve for the vectorised kernel.  These
-are the oracles the library is checked against.
+sums, a per-prime segment sieve for the vectorised kernel and a
+per-prime sweep for the pair singular sums.  These are the oracles the
+library is checked against.
 """
 
 from __future__ import annotations
@@ -51,6 +52,21 @@ def byte_sieve_count(limit: int) -> int:
             flags[start::p] = b"\x00" * count
         i += 1
     return 1 + sum(flags)
+
+
+def distinct_prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1 by trial division, smallest first."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def gap_list(prime_list: list[int]) -> list[int]:
@@ -117,6 +133,44 @@ def pair_singular_terms(x: int, c2: float) -> float:
             factor *= (m - 1) / (m - 2)
         total += 2.0 * c2 * factor
     return total
+
+
+def pair_sweep_weights(m_max: int, prime_list: list[int]) -> np.ndarray:
+    """weights[i] = h(2i + 1) = prod_{p | 2i+1} (p-1)/(p-2) for odd 2i + 1 <= m_max.
+
+    One strided multiply per odd prime in increasing order; ``prime_list``
+    holds at least the primes <= m_max.
+    """
+    weights = np.ones(max((m_max + 1) // 2, 1))
+    for p in prime_list:
+        if p > m_max:
+            break
+        if p > 2:
+            weights[(p - 1) // 2 :: p] *= (p - 1.0) / (p - 2.0)
+    return weights
+
+
+def pair_singular_sum_grid(limits, c2: float, prime_list: list[int]) -> list[tuple[float, float]]:
+    """(total, error term) of sum_{d <= X} S({0,d}) for each X in ``limits``.
+
+    The per-prime sweep of ``pair_sweep_weights`` up to max(limits) // 2,
+    then the prefix of the weights summed in the pieces cut at every
+    X >> a, as the library sums them.
+    """
+    weights = pair_sweep_weights(max(limits) // 2, prime_list)
+    cuts = sorted({(x >> a) + 1 >> 1 for x in limits for a in range(1, x.bit_length())})
+    prefix = {}
+    running = []
+    prev = 0
+    for c in cuts:
+        running.append(float(np.sum(weights[prev:c])))
+        prefix[c] = math.fsum(running)
+        prev = c
+    out = []
+    for x in limits:
+        total = 2.0 * c2 * math.fsum(prefix[(x >> a) + 1 >> 1] for a in range(1, x.bit_length()))
+        out.append((total, total - x + math.log(x) / 2))
+    return out
 
 
 def segment_mask(lo: int, hi: int, base) -> np.ndarray:

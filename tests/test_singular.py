@@ -1,5 +1,7 @@
+import itertools
 import math
 import time
+import tracemalloc
 
 import mpmath
 import pytest
@@ -172,7 +174,7 @@ def test_pair_singular_validation():
 
 
 def test_pair_singular_large_prime_factor():
-    # exercises the trial-division factoring branch past the table
+    # exercises the factoring branch past the table
     p = 1_299_709  # the 10^5-th prime, > 2^20
     sv = singular.pair_singular(2 * p)
     expected = 2 * singular._c2().value * (p - 1) / (p - 2)
@@ -190,6 +192,28 @@ def test_factoring_stops_at_a_prime_cofactor():
     sv = singular.pair_singular(2 * m61)
     assert time.perf_counter() - start < 1.0
     assert sv.value == pytest.approx(2 * singular._c2().value * (m61 - 1) / (m61 - 2), rel=1e-15)
+
+
+def test_factoring_splits_two_large_factors():
+    # trial division would walk to the smaller factor, 1e8 (seconds)
+    d = 20_000_008_800_000_518
+    start = time.perf_counter()
+    factors = singular._distinct_prime_factors(d)
+    assert time.perf_counter() - start < 1.0
+    assert factors == [2, 100_000_007, 100_000_037]
+    assert math.prod(factors) == d
+    assert singular._distinct_prime_factors(7**2 * 1_000_003**2) == [7, 1_000_003]
+
+
+_ORACLE_PRIMES = st.integers(min_value=2, max_value=999_983).map(
+    lambda n: next(k for k in itertools.count(n) if oracles.is_prime(k))
+)
+
+
+@given(_ORACLE_PRIMES, _ORACLE_PRIMES)
+def test_factoring_products_of_two_primes_match_trial_division(p, q):
+    n = p * q
+    assert singular._distinct_prime_factors(n) == oracles.distinct_prime_factors(n)
 
 
 def test_tuple_singular_correction_prime_above_truncation():
@@ -382,6 +406,8 @@ def test_triple_row_sum_validation():
         singular.triple_row_sum(7)
     with pytest.raises(ValidationError):
         singular.triple_row_sum(0)
+    with pytest.raises(ValidationError):
+        singular.triple_row_sum(-4)
 
 
 def test_triple_row_sum_brute_force_small():
@@ -389,3 +415,71 @@ def test_triple_row_sum_brute_force_small():
     row = singular.triple_row_sum(12)
     direct = sum(singular.tuple_singular((0, h, 12)).value for h in range(1, 12))
     assert row.sum == pytest.approx(direct, rel=1e-13)
+
+
+def _scalar_row_sum(d, truncation):
+    """The row sum as a loop over h of tuple_singular."""
+    parts = []
+    err = 0.0
+    for h in range(1, d):
+        sv = singular.tuple_singular((0, h, d), truncation)
+        if sv.value:
+            parts.append(sv.value)
+            err += sv.abs_error
+    total = math.fsum(parts)
+    return (total, total / (d * singular.pair_singular(d).value), err)
+
+
+@pytest.mark.parametrize("truncation", [3, 10, 10**6])
+def test_triple_row_sum_equals_scalar_loop_exactly(truncation):
+    for d in [*range(4, 401, 2), 2310, 4096, 9702, 30030, 2 * 1009]:
+        assert tuple(singular.triple_row_sum(d, truncation)) == _scalar_row_sum(d, truncation), d
+
+
+def test_triple_row_sum_truncation_below_tuple_size():
+    assert singular.triple_row_sum(2, 2) == (0.0, 0.0, 0.0)
+    for d in (4, 30):
+        with pytest.raises(ValidationError):
+            singular.triple_row_sum(d, 2)
+
+
+# ---------------------------------------------------------------------------
+# The pair sweep against the per-prime loop
+
+@pytest.fixture(scope="module")
+def oracle_primes_sweep() -> list[int]:
+    return oracles.primes_upto(2 * 1009**2 // 2 + 1)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[x] for p in (101, 1009) for x in (2 * p * p - 2, 2 * p * p, 2 * p * p + 2)]
+    + [[2 * p * p - 2, 2 * p * p, 2 * p * p + 2] for p in (101, 1009)]
+    + [[10**3, 10**4, 10**5, 10**6], [10**3, 10**4], [2, 3, 7]],
+)
+def test_pair_sum_grid_equals_per_prime_sweep(grid, oracle_primes_sweep):
+    # X // 2 lands on and around the prime squares 101^2 and 1009^2,
+    # where a prime moves from the strided loop to the large-prime rounds
+    states = singular.pair_singular_sum_grid(grid)
+    expected = oracles.pair_singular_sum_grid(grid, singular._c2().value, oracle_primes_sweep)
+    assert [(s.total, s.error_term) for s in states] == expected
+
+
+@pytest.mark.parametrize("m_max", [101**2 - 1, 101**2, 101**2 + 1, 1009**2 - 1, 1009**2, 1018082])
+def test_pair_weights_equal_per_prime_sweep(m_max, oracle_primes_sweep):
+    # a slot's large prime factor must be multiplied in last, as the
+    # per-prime loop does: applying it first moves ~1% of the slots by an ulp
+    weights = singular._pair_weights(m_max)
+    assert weights.tobytes() == oracles.pair_sweep_weights(m_max, oracle_primes_sweep).tobytes()
+
+
+def test_pair_sum_peak_memory_is_the_weights():
+    singular._c2()
+    weights_bytes = 8 * ((10**6 // 2 + 1) // 2)
+    tracemalloc.start()
+    try:
+        singular.pair_singular_sum_grid([10**6])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * weights_bytes
