@@ -1,16 +1,20 @@
 """Versioned checkpoints for resumable streaming runs.
 
-One record per completed sieve segment, written atomically (temp file,
-fsync, rename): the magic b"GSCK", a JSON body, and the first 8 bytes of
-the sha256 of everything before them.  The body holds the version, mode,
-limit, configuration digest and the ``AccumulatorState``: restart point,
-Neumaier pair, term count, gap histogram as (d, N) pairs and the snapshot
-rows written.  JSON floats round-trip float64 exactly, so a resumed run
-reproduces the uninterrupted run to the last bit.  The digest refuses
-resumes under a different command, limit, weight, segment size or
-snapshot grid; the worker count cannot affect results and is left out.
-Version 1 records (88 bytes, binary, without histogram or snapshots)
-are refused.
+A record holds the state after a completed sieve segment.  A run saves
+one when at least ``SAVE_INTERVAL_S`` seconds have passed since its last
+save, and always once more as it ends: at completion, at a
+stop-after-segments stop and when an exception propagates.  Only a hard
+kill can lose up to one interval of work.  Each record is written
+atomically (temp file, fsync, rename): the magic b"GSCK", a JSON body,
+and the first 8 bytes of the sha256 of everything before them.  The body
+holds the version, mode, limit, configuration digest and the
+``AccumulatorState``: restart point, Neumaier pair, term count, gap
+histogram as (d, N) pairs and the snapshot rows written.  JSON floats
+round-trip float64 exactly, so a resumed run reproduces the
+uninterrupted run to the last bit.  The digest refuses resumes under a
+different command, limit, weight, segment size or snapshot grid; the
+worker count cannot affect results and is left out.  Version 1 records
+(88 bytes, binary, without histogram or snapshots) are refused.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import hashlib
 import json
 import os
 import tempfile
+import time
 from dataclasses import dataclass
 
 from .errors import CheckpointError
@@ -27,6 +32,8 @@ from .sums import AccumulatorState, SumSnapshot
 MAGIC = b"GSCK"
 VERSION = 2
 _CHECK = 8
+# Least time between two saves of one run; each save fsyncs (~0.5 ms).
+SAVE_INTERVAL_S = 2.0
 
 
 def config_digest(config: dict) -> bytes:
@@ -103,6 +110,39 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 def save(path: str, ckpt: Checkpoint) -> None:
     _write_atomic(path, ckpt.pack())
+
+
+class Saver:
+    """The checkpoint writer of one run, used as a context manager.
+
+    ``offer`` takes the state after each segment and saves it once
+    ``SAVE_INTERVAL_S`` seconds have passed since the last save; leaving
+    the ``with`` block, normally or by an exception, saves the latest
+    state not yet saved.  A state is dropped before its save is tried, so
+    a save that fails is not retried on the way out.
+    """
+
+    def __init__(self, path: str, mode: str, limit: int, digest: bytes):
+        self.path, self.mode, self.limit, self.digest = path, mode, limit, digest
+        self._pending: AccumulatorState | None = None
+        self._last = time.monotonic()
+
+    def offer(self, state: AccumulatorState) -> None:
+        self._pending = state
+        if time.monotonic() - self._last >= SAVE_INTERVAL_S:
+            self._flush()
+
+    def _flush(self) -> None:
+        state, self._pending = self._pending, None
+        if state is not None:
+            save(self.path, Checkpoint(self.mode, self.limit, state, self.digest))
+            self._last = time.monotonic()
+
+    def __enter__(self) -> "Saver":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._flush()
 
 
 def load(path: str) -> Checkpoint:

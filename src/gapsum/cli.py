@@ -19,6 +19,7 @@ precision error, or a worker process that died or ran out of memory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -203,24 +204,23 @@ def _stream(a: argparse.Namespace, runner: Callable[..., list[sums.SumSnapshot]]
         checkpoint.verify_match(ck, a.mode, a.limit, digest)
         resume_state = ck.state
 
-    on_segment = ckpt_path = None
+    saver = None
     if a.checkpoint_dir:
         os.makedirs(a.checkpoint_dir, exist_ok=True)
-        ckpt_path = os.path.join(a.checkpoint_dir, f"gapsum-{a.command}.ckpt")
-        on_segment = lambda st: checkpoint.save(
-            ckpt_path, checkpoint.Checkpoint(a.mode, a.limit, st, digest)
-        )
-    if a.stop_after_segments is not None and ckpt_path is None:
+        saver = checkpoint.Saver(os.path.join(a.checkpoint_dir, f"gapsum-{a.command}.ckpt"),
+                                 a.mode, a.limit, digest)
+    if a.stop_after_segments is not None and saver is None:
         raise ValidationError("--stop-after-segments requires --checkpoint-dir")
 
     started = time.perf_counter()
     try:
-        snaps = runner(snapshot_limits=a.snapshot_grid, resume=resume_state,
-                       on_segment=on_segment, stop_after_segments=a.stop_after_segments,
-                       **_sieve_kw(a))
+        with saver or contextlib.nullcontext():
+            snaps = runner(snapshot_limits=a.snapshot_grid, resume=resume_state,
+                           on_segment=saver.offer if saver else None,
+                           stop_after_segments=a.stop_after_segments, **_sieve_kw(a))
     except sums.RunInterrupted:
         print(f"run interrupted after {a.stop_after_segments} segments; "
-              f"checkpoint saved at {ckpt_path}")
+              f"checkpoint saved at {saver.path}")
         return None
     elapsed = time.perf_counter() - started
     final = snaps[-1]
@@ -254,7 +254,10 @@ _MODE = dict(choices=("prime", "index"), default="prime")
 _TRUNCATION = dict(type=parse_count, default=singular.DEFAULT_TRUNCATION)
 _STREAM = {
     "--snapshot-grid": dict(type=parse_grid),
-    "--checkpoint-dir": {},
+    "--checkpoint-dir": dict(metavar="DIR", help=(
+        f"save the run's state to DIR/gapsum-<command>.ckpt after a segment once "
+        f"{checkpoint.SAVE_INTERVAL_S:g} s have passed since the last save, and always "
+        f"at completion, at a --stop-after-segments stop and when the run fails")),
     "--resume": {},
     "--stop-after-segments": dict(
         type=int, help="testing hook: stop after N segments, keeping the checkpoint"),

@@ -135,9 +135,7 @@ def _distinct_prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n >= 1, smallest first.
 
     Below 2^20 the table answers; above it 2, 3 and 5 are divided out and
-    a cofactor below 2^64 is split by Pollard-Brent rho, each part tested
-    with Miller-Rabin (exact below 2^64).  A cofactor at or above 2^64 is
-    trial-divided until it drops below 2^64 or is exhausted.
+    the cofactor goes to ``_odd_prime_factors``.
     """
     n = int(n)
     out: list[int] = []
@@ -154,26 +152,31 @@ def _distinct_prime_factors(n: int) -> list[int]:
             out.append(p)
             while n % p == 0:
                 n //= p
-    f = 7
-    while n >= 1 << 64 and f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 2
-    if n >= 1 << 64:
-        out.append(n)
-    elif n > 1:
-        out.extend(sorted(_rho_prime_factors(n)))
+    if n > 1:
+        out.extend(sorted(_odd_prime_factors(n)))
     return out
 
 
-def _rho_prime_factors(n: int) -> set[int]:
-    """Distinct prime factors of an odd 1 < n < 2^64."""
-    if engine._is_prime(n):
+def _odd_prime_factors(n: int) -> set[int]:
+    """Distinct prime factors of an odd n > 1.
+
+    Miller-Rabin with ``engine._MR_BASES`` proves n prime below 2^64, and
+    a witness proves n composite at any size.  A composite is split by
+    Pollard-Brent rho and each part factored under the same rule.  Only
+    a cofactor at or above 2^64 that Miller-Rabin calls probably prime is
+    trial-divided, since no primality test here is proven that far.
+    """
+    if not engine._is_prime(n):
+        f = _brent_factor(n)
+        return _odd_prime_factors(f) | _odd_prime_factors(n // f)
+    if n < 1 << 64:
         return {n}
-    f = _brent_factor(n)
-    return _rho_prime_factors(f) | _rho_prime_factors(n // f)
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return {f} | _odd_prime_factors(n // f)
+        f += 2
+    return {n}
 
 
 def _brent_factor(n: int) -> int:

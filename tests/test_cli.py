@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gapsum import cli, engine, singular, sums
+from gapsum import checkpoint, cli, engine, singular, sums
 from gapsum.errors import CapacityError, ValidationError
 
 
@@ -220,6 +220,93 @@ def test_en_sum_checkpoint_cycle(tmp_path, monkeypatch):
     _, full_rows = read_csv(tmp_path / "full.csv")
     _, resumed_rows = read_csv(tmp_path / "resumed.csv")
     assert resumed_rows == full_rows
+
+
+# The cadence runs: 1e5 at 1024 slots is 49 segments of 2048 integers each.
+_CADENCE = ["weighted-sum", "--limit", "1e5", "--alpha", "1", "--workers", "1",
+            "--segment-size", "1024"]
+_SEGMENT_ENDS = [min(lo + 2048, 10**5 + 1) for lo in range(3, 10**5 + 1, 2048)]
+
+
+@pytest.fixture
+def saved(monkeypatch):
+    """The states the run saves, in order; ``checkpoint.save`` still writes each."""
+    states = []
+    real_save = checkpoint.save
+
+    def save(path, ckpt):
+        states.append(ckpt.state)
+        real_save(path, ckpt)
+
+    monkeypatch.setattr(checkpoint, "save", save)
+    return states
+
+
+def _resume_matches_full(tmp_path, monkeypatch):
+    """Resume from the saved record; its report rows equal the uninterrupted run's."""
+    assert run_cli(_CADENCE + ["--output", "full.csv"], tmp_path, monkeypatch) == 0
+    ckpt = str(tmp_path / "ck" / "gapsum-weighted-sum.ckpt")
+    code = run_cli(_CADENCE + ["--resume", ckpt, "--output", "resumed.csv"],
+                   tmp_path, monkeypatch)
+    assert code == 0
+    assert read_csv(tmp_path / "resumed.csv")[1] == read_csv(tmp_path / "full.csv")[1]
+
+
+def test_checkpoint_every_segment_at_zero_interval(saved, tmp_path, monkeypatch):
+    monkeypatch.setattr(checkpoint, "SAVE_INTERVAL_S", 0.0)
+    assert run_cli(_CADENCE + ["--checkpoint-dir", "ck"], tmp_path, monkeypatch) == 0
+    assert [st.next_lo for st in saved] == _SEGMENT_ENDS
+
+
+def test_checkpoint_once_at_completion_within_the_interval(saved, tmp_path, monkeypatch):
+    monkeypatch.setattr(checkpoint, "SAVE_INTERVAL_S", 1e9)
+    assert run_cli(_CADENCE + ["--checkpoint-dir", "ck"], tmp_path, monkeypatch) == 0
+    assert [st.next_lo for st in saved] == [_SEGMENT_ENDS[-1]]
+    _resume_matches_full(tmp_path, monkeypatch)
+
+
+def test_checkpoint_saved_at_a_stop(saved, tmp_path, monkeypatch):
+    monkeypatch.setattr(checkpoint, "SAVE_INTERVAL_S", 1e9)
+    code = run_cli(_CADENCE + ["--checkpoint-dir", "ck", "--stop-after-segments", "3"],
+                   tmp_path, monkeypatch)
+    assert code == 0
+    assert [st.next_lo for st in saved] == [_SEGMENT_ENDS[2]]
+    _resume_matches_full(tmp_path, monkeypatch)
+
+
+def test_checkpoint_saved_when_a_segment_fails(saved, tmp_path, monkeypatch):
+    # the 5th segment's worker fails, so the record holds the state after 4
+    monkeypatch.setattr(checkpoint, "SAVE_INTERVAL_S", 1e9)
+    real_worker, calls = engine._worker_gaps, []
+
+    def worker(task):
+        calls.append(task)
+        if len(calls) == 5:
+            raise MemoryError
+        return real_worker(task)
+
+    monkeypatch.setattr(engine, "_worker_gaps", worker)
+    assert run_cli(_CADENCE + ["--checkpoint-dir", "ck"], tmp_path, monkeypatch) == 2
+    assert not (tmp_path / "gapsum-weighted-sum.csv").exists()
+    assert [st.next_lo for st in saved] == [_SEGMENT_ENDS[3]]
+    monkeypatch.setattr(engine, "_worker_gaps", real_worker)
+    _resume_matches_full(tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("interval", [0.0, 1e9])  # a timed save, then the final one
+def test_failed_checkpoint_save_is_not_retried(interval, tmp_path, monkeypatch):
+    monkeypatch.setattr(checkpoint, "SAVE_INTERVAL_S", interval)
+    error, calls = OSError("disk full"), []
+
+    def save(path, ckpt):
+        calls.append(ckpt)
+        raise error
+
+    monkeypatch.setattr(checkpoint, "save", save)
+    with pytest.raises(OSError) as raised:
+        run_cli(_CADENCE + ["--checkpoint-dir", "ck"], tmp_path, monkeypatch)
+    assert raised.value is error
+    assert len(calls) == 1
 
 
 def test_resume_with_other_alpha_refused(tmp_path, monkeypatch):

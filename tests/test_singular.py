@@ -205,6 +205,17 @@ def test_factoring_splits_two_large_factors():
     assert singular._distinct_prime_factors(7**2 * 1_000_003**2) == [7, 1_000_003]
 
 
+def test_factoring_splits_a_composite_cofactor_above_2_64():
+    # a Miller-Rabin witness proves 2^67 - 1 composite, so rho splits it;
+    # trial division would walk to 193,707,721 (seconds)
+    start = time.perf_counter()
+    factors = singular._distinct_prime_factors(3 * (2**67 - 1))
+    assert time.perf_counter() - start < 1.0
+    assert factors == [3, 193_707_721, 761_838_257_287]
+    assert singular._distinct_prime_factors(7 * 11 * (2**31 - 1) ** 2 * (2**61 - 1)) == [
+        7, 11, 2**31 - 1, 2**61 - 1]
+
+
 _ORACLE_PRIMES = st.integers(min_value=2, max_value=999_983).map(
     lambda n: next(k for k in itertools.count(n) if oracles.is_prime(k))
 )
