@@ -9,6 +9,8 @@ gaps, counts) is identical for any worker count.  ``_sieve_mask`` is the
 one kernel, also for the base primes.  ``gap_blocks`` is the one fold over
 the uint16 gaps the gap worker sends, 2 bytes a prime, and ``prime_blocks``
 reads it; the tuple worker counts tuples, ``prime_count`` that of (0,).
+``consecutive_gap_counts`` keeps its last eight histograms, each keyed by
+its pass, so a process sieves each such pass at most once while it is kept.
 
 Counting is by sieve only; there is no analytic shortcut, and no
 primality proving for individual large integers.
@@ -219,13 +221,19 @@ def _segment_map(worker, limit: int, *, workers: int | None, segment_slots: int 
             yield task[1], worker(task)
         return
     window = 2 * workers + 2
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    ex = ProcessPoolExecutor(max_workers=workers)
+    try:
         ahead = iter(tasks)
         pending = deque()
         for task in tasks:
             for queued in islice(ahead, window - len(pending)):
                 pending.append(ex.submit(worker, queued))
             yield task[1], pending.popleft().result()
+    finally:
+        # a pass closed early (index limit, stop, or a raise) cancels the
+        # tasks the pool has not yet queued for its workers; it queues up to
+        # workers + 1 beyond those running, and these still run
+        ex.shutdown(wait=True, cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +416,36 @@ def _gap_counter(gaps: np.ndarray) -> Counter:
     return Counter({d: c for d, c in enumerate(np.bincount(gaps).tolist()) if c})
 
 
+@lru_cache(maxsize=8)
+def _gap_histogram(limit: int, workers: int, slots: int) -> tuple[tuple[int, int], ...]:
+    """Sorted (d, N(d)) pairs of one gap pass, kept for the next identical pass.
+
+    The histogram does not depend on ``workers`` or ``slots``; the key holds
+    them so that every distinct pass is still sieved once.  A pass that
+    raises caches nothing.
+    """
+    blocks = gap_blocks(prime_limit=limit, workers=workers, segment_slots=slots)
+    hist = sum((_gap_counter(block.gaps) for block in blocks), Counter())
+    return tuple(sorted(hist.items()))
+
+
 def consecutive_gap_counts(
     limit: int,
     *,
     workers: int | None = None,
     segment_slots: int | None = None,
 ) -> GapHistogram:
-    """Histogram of consecutive gaps d_n with p_{n+1} <= limit; the integer fold is exact."""
+    """Histogram of consecutive gaps d_n with p_{n+1} <= limit; the integer fold is exact.
+
+    Within a process, a repeated call with the same limit, worker count and
+    segment size reads the first call's histogram instead of sieving again
+    (``_gap_histogram``); every call gets a fresh ``counts`` dict.
+    """
     limit = _check_limit(limit, 3)
-    blocks = gap_blocks(prime_limit=limit, workers=workers, segment_slots=segment_slots)
-    hist = sum((_gap_counter(block.gaps) for block in blocks), Counter())
-    return GapHistogram(limit, dict(sorted(hist.items())))
+    if workers is None:
+        workers = default_workers()
+    slots = effective_segment_slots(limit, segment_slots)
+    return GapHistogram(limit, dict(_gap_histogram(limit, workers, slots)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles  # noqa: E402
+from gapsum import engine  # noqa: E402
 
 settings.register_profile(
     "gapsum",
@@ -25,3 +26,9 @@ def oracle_primes_1e5() -> list[int]:
 @pytest.fixture(scope="session")
 def oracle_prime_set_1e5(oracle_primes_1e5) -> set[int]:
     return set(oracle_primes_1e5)
+
+
+@pytest.fixture(autouse=True)
+def fresh_gap_histograms():
+    """Start every test without remembered gap histograms, so each sieves its first pass."""
+    engine._gap_histogram.cache_clear()

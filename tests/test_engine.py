@@ -1,12 +1,15 @@
 import bisect
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gapsum import engine
+from gapsum import engine, verify
 from gapsum.errors import CapacityError, EmptyDomainError, ValidationError
 
 
@@ -310,3 +313,91 @@ def test_gap_wider_than_uint16_raises(monkeypatch):
     monkeypatch.setattr(engine, "_worker_gaps", lambda task: (far, far, np.zeros(1, np.uint16)))
     with pytest.raises(CapacityError):
         next(engine.gap_blocks(prime_limit=10**6, workers=1))
+
+
+def _record_passes(monkeypatch) -> list:
+    """Record (worker, sieve limit) for each ``_segment_map`` pass."""
+    calls = []
+    segment_map = engine._segment_map
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return segment_map(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_segment_map", counted)
+    return calls
+
+
+def test_every_alpha_reads_one_gap_pass(monkeypatch, oracle_primes_1e5):
+    calls = _record_passes(monkeypatch)
+    for alpha in (-1.0, 0.0, 1.0):
+        verify.theorem1_ratio(100_000, alpha)
+    hist = engine.consecutive_gap_counts(100_000)
+    # alpha = -1 starts at n = 2, and its leading gap d_1 is read from a pass to 13
+    assert calls == [(engine._worker_gaps, 100_000), (engine._worker_gaps, 13)]
+    assert hist.counts == oracles.gap_histogram(100_000, oracle_primes_1e5)
+
+
+def test_each_gap_pass_is_sieved_once(monkeypatch, oracle_primes_1e5):
+    calls = _record_passes(monkeypatch)
+    expected = oracles.gap_histogram(100_000, oracle_primes_1e5)
+    passes = [(1, 1 << 10), (2, 1 << 10), (1, 1 << 12)]
+    for _ in range(2):
+        for workers, slots in passes:
+            got = engine.consecutive_gap_counts(100_000, workers=workers, segment_slots=slots)
+            assert got.counts == expected, (workers, slots)
+    assert calls == [(engine._worker_gaps, 100_000)] * len(passes)
+
+
+def test_gap_counts_are_a_fresh_dict_per_call(oracle_primes_1e5):
+    first = engine.consecutive_gap_counts(100_000)
+    first.counts[2] = -1
+    first.counts[99_999] = 1
+    again = engine.consecutive_gap_counts(100_000)
+    assert again.counts is not first.counts
+    assert again.counts == oracles.gap_histogram(100_000, oracle_primes_1e5)
+
+
+def test_failed_gap_pass_is_not_remembered(monkeypatch, oracle_primes_1e5):
+    def fail(task):
+        raise MemoryError
+
+    monkeypatch.setattr(engine, "_worker_gaps", fail)
+    with pytest.raises(MemoryError):
+        engine.consecutive_gap_counts(100_000, workers=1)
+    monkeypatch.undo()
+    got = engine.consecutive_gap_counts(100_000, workers=1)
+    assert got.counts == oracles.gap_histogram(100_000, oracle_primes_1e5)
+
+
+def _record_task(task):
+    """A segment task that leaves one file per run in the directory it is given."""
+    lo, _, _, outdir = task
+    (Path(outdir) / str(lo)).touch()
+    return lo
+
+
+class _RecordedPool(ProcessPoolExecutor):
+    shutdowns: list = []
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shutdowns.append((wait, cancel_futures))
+        super().shutdown(wait=wait, cancel_futures=cancel_futures)
+
+
+def test_early_closed_pool_pass_cancels_its_queued_segments(tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", _RecordedPool)
+    monkeypatch.setattr(_RecordedPool, "shutdowns", [])
+    workers, slots = 2, 1 << 10
+    window = 2 * workers + 2
+    segments = engine._segment_map(_record_task, 10**6, workers=workers,
+                                   segment_slots=slots, extra=(str(tmp_path),))
+    assert next(segments) == (3 + 2 * slots, 3)
+    segments.close()
+    assert _RecordedPool.shutdowns == [(True, True)]
+    # the pool still runs what it had queued for its workers (up to
+    # 2 * workers + 1 tasks), but nothing past the window of 489 segments
+    ran = sorted(int(f.name) for f in tmp_path.iterdir())
+    assert 1 <= len(ran) <= window
+    assert ran == [3 + 2 * slots * k for k in range(len(ran))]
+    assert not multiprocessing.active_children()
