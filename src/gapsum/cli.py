@@ -194,7 +194,8 @@ def _stream(a: argparse.Namespace, runner: Callable[..., list[sums.SumSnapshot]]
     digest = checkpoint.config_digest({
         "command": a.command, "mode": a.mode, "limit": a.limit, "start_index": a.start_index,
         "alpha": getattr(a, "alpha", None), "c": getattr(a, "c", None),
-        "segment_slots": engine.effective_segment_slots(a.limit, a.segment_slots),
+        "segment_slots": engine.pass_segment_slots(**{f"{a.mode}_limit": a.limit},
+                                                   segment_slots=a.segment_slots),
         "snapshot_grid": a.snapshot_grid,
     })
 

@@ -11,6 +11,10 @@ the uint16 gaps the gap worker sends, 2 bytes a prime, and ``prime_blocks``
 reads it; the tuple worker counts tuples, ``prime_count`` that of (0,).
 ``consecutive_gap_counts`` keeps its last eight histograms, each keyed by
 its pass, so a process sieves each such pass at most once while it is kept.
+The n-dependent sums need the gaps themselves, so ``gap_blocks`` keeps the
+last finished from-scratch index stream of at most 2^24 gaps, one byte a
+gap, and replays it for the next pass with the same sieve bound, index
+limit, worker count and segment size instead of sieving again.
 
 Counting is by sieve only; there is no analytic shortcut, and no
 primality proving for individual large integers.
@@ -77,6 +81,20 @@ def effective_segment_slots(limit: int, segment_slots: int | None = None) -> int
         return segment_slots
     extra = max(0, (int(limit).bit_length() - 32) // 2)
     return min(DEFAULT_SEGMENT_SLOTS << extra, _MAX_SEGMENT_SLOTS)
+
+
+def pass_segment_slots(
+    *,
+    prime_limit: int | None = None,
+    index_limit: int | None = None,
+    segment_slots: int | None = None,
+) -> int:
+    """The odd slots per segment of a gap pass to exactly one of the two limits.
+
+    A pass sieves to its sieve bound, which for an index limit N is a bound
+    on p_{N+1}, so the automatic segment size follows that bound, not N.
+    """
+    return effective_segment_slots(_sieve_limit(prime_limit, index_limit)[0], segment_slots)
 
 
 def _check_limit(limit: int, minimum: int, what: str = "limit") -> int:
@@ -330,6 +348,14 @@ class GapBlock:
         return np.cumsum(rights, out=rights)
 
 
+# The kept index stream: at most one, keyed by (sieve bound, index limit,
+# workers, segment slots), holding (n0, gaps // 2 as uint8, last_prime,
+# seg_end) per block.  The first 2^24 gaps are all at most 248 (OEIS
+# A005250), so each d/2 fits a byte; d_1 = 1 halves to 0 and is restored.
+_KEPT_STREAM_GAPS = 1 << 24
+_kept_stream: dict[tuple, list[tuple[int, np.ndarray, int, int]]] = {}
+
+
 def gap_blocks(
     *,
     prime_limit: int | None = None,
@@ -349,25 +375,54 @@ def gap_blocks(
     first record pairs 2 with 3.  Workers send each segment's inner gaps;
     this fold adds the gap that crosses into the segment, numbers the gaps
     and stops at the index limit.
+
+    A from-scratch index pass to N <= 2^24 that is consumed to its end, over
+    more than one segment, is kept in place of the previous one; the next
+    from-scratch pass with the same sieve bound, N, worker count and segment
+    size replays its blocks (equal field by field) instead of sieving.  A
+    pass closed early or ended by an exception keeps nothing.  A one-segment
+    pass, such as the pass to 13 that reads d_1, costs one segment to sieve
+    again and would evict a longer stream, so it is not kept.
     """
     sieve_limit, index_limit = _sieve_limit(prime_limit, index_limit)
     if index_limit is not None and init_n > index_limit:
         return  # restarted from a run that had already closed the index limit
+    workers = default_workers() if workers is None else workers
+    slots = pass_segment_slots(prime_limit=prime_limit, index_limit=index_limit,
+                               segment_slots=segment_slots)
+    key = (sieve_limit, index_limit, workers, slots)
+    fresh = index_limit is not None and (start_lo, init_last, init_n) == (_FIRST_ODD, 2, 1)
+    if fresh and key in _kept_stream:
+        for n0, halves, top, seg_end in _kept_stream[key]:
+            gaps = halves.astype(np.uint16) << 1
+            if n0 == 1:
+                gaps[:1] = 1  # d_1 = 1 was kept as 0
+            yield GapBlock(n0, gaps, top, seg_end)
+        return
+    kept = [] if fresh and index_limit <= _KEPT_STREAM_GAPS else None
     last = init_last
     n = init_n
     for seg_end, summary in _segment_map(
-        _worker_gaps, sieve_limit, workers=workers, segment_slots=segment_slots,
-        start_lo=start_lo,
+        _worker_gaps, sieve_limit, workers=workers, segment_slots=slots, start_lo=start_lo,
     ):
         first, top, gaps = summary or (last, last, np.empty(0, dtype=np.uint16))
         if first - last > 0xFFFF:
             raise CapacityError(_WIDE_GAP)
         gaps[:1] = first - last
-        if index_limit is not None and n + len(gaps) > index_limit:
+        done = index_limit is not None and n + len(gaps) > index_limit
+        if done:
             gaps = gaps[: index_limit - n + 1]
-            yield GapBlock(n, gaps, last + int(gaps.sum(dtype=np.int64)), seg_end)
-            return
+            top = last + int(gaps.sum(dtype=np.int64))
+        if kept is not None and gaps.max(initial=0) > 0x1FF:
+            kept = None  # d/2 of this gap does not fit a byte: keep nothing
+        if kept is not None:
+            kept.append((n, (gaps >> 1).astype(np.uint8), top, seg_end))
         yield GapBlock(n, gaps, top, seg_end)
+        if done:
+            if kept is not None and len(kept) > 1:
+                _kept_stream.clear()
+                _kept_stream[key] = kept
+            return
         n += len(gaps)
         last = top
         del gaps, summary  # free this segment's arrays before the next is sieved

@@ -29,6 +29,8 @@ def oracle_prime_set_1e5(oracle_primes_1e5) -> set[int]:
 
 
 @pytest.fixture(autouse=True)
-def fresh_gap_histograms():
-    """Start every test without remembered gap histograms, so each sieves its first pass."""
+def fresh_gap_memos():
+    """Start every test without remembered gap histograms or a kept gap stream,
+    so each sieves its first pass."""
     engine._gap_histogram.cache_clear()
+    engine._kept_stream.clear()

@@ -320,6 +320,21 @@ def test_resume_with_other_alpha_refused(tmp_path, monkeypatch):
     assert code == 1
 
 
+def test_index_resume_on_another_segment_grid_refused(tmp_path, monkeypatch):
+    # index 5e8 sieves to about 1.15e10, past 2^33, so its segments have 2^21 slots
+    base = ["en-sum", "--limit", "5e8", "--c", "0", "--workers", "1",
+            "--stop-after-segments", "1"]
+
+    def run(ckpt_dir, *extra):
+        return run_cli(base + ["--checkpoint-dir", ckpt_dir, *extra], tmp_path, monkeypatch)
+
+    assert run("default") == 0
+    assert run("again", "--resume", "default/gapsum-en-sum.ckpt",
+               "--segment-size", "1048576") == 1
+    assert run("explicit", "--segment-size", "2097152") == 0
+    assert run("again", "--resume", "explicit/gapsum-en-sum.ckpt") == 0
+
+
 def test_resume_with_other_worker_count_allowed(tmp_path, monkeypatch):
     base = ["weighted-sum", "--limit", "2e6", "--alpha", "0"]
     run_cli(

@@ -370,6 +370,103 @@ def test_failed_gap_pass_is_not_remembered(monkeypatch, oracle_primes_1e5):
     assert got.counts == oracles.gap_histogram(100_000, oracle_primes_1e5)
 
 
+# An index pass over many segments: N = 20,000 sieves to 244,185, 2048 integers a segment.
+_SMALL_SEGMENTS = dict(workers=1, segment_slots=1 << 10)
+_INDEX_PASS = dict(index_limit=20_000, **_SMALL_SEGMENTS)
+
+
+def _fields(blocks) -> list:
+    return [(b.n0, b.gaps.dtype, b.gaps.tolist(), b.last_prime, b.seg_end) for b in blocks]
+
+
+def test_kept_index_stream_replays_the_sieved_blocks(monkeypatch):
+    calls = _record_passes(monkeypatch)
+    sieved = _fields(engine.gap_blocks(**_INDEX_PASS))
+    next(engine.gap_blocks(**_INDEX_PASS)).gaps[:] = 0  # a replayed block is a fresh copy
+    replayed = _fields(engine.gap_blocks(**_INDEX_PASS))
+    assert calls == [(engine._worker_gaps, engine._sieve_limit(None, 20_000)[0])]
+    assert replayed == sieved
+    assert len(sieved) > 100 and sieved[0][2][:3] == [1, 2, 2]
+    assert sum(len(f[2]) for f in sieved) == 20_000
+
+
+@pytest.mark.parametrize("budget, passes", [(19_999, 2), (20_000, 1)])
+def test_kept_stream_budget(monkeypatch, budget, passes):
+    monkeypatch.setattr(engine, "_KEPT_STREAM_GAPS", budget)
+    calls = _record_passes(monkeypatch)
+    runs = [_fields(engine.gap_blocks(**_INDEX_PASS)) for _ in range(2)]
+    assert len(calls) == passes
+    assert runs[1] == runs[0]
+
+
+def test_unfinished_or_other_passes_keep_nothing(monkeypatch):
+    n_blocks = len(list(engine.gap_blocks(**_INDEX_PASS)))
+    engine._kept_stream.clear()
+    for taken in (1, n_blocks):  # closed early, and closed at its last block
+        blocks = engine.gap_blocks(**_INDEX_PASS)
+        for _ in range(taken):
+            next(blocks)
+        blocks.close()
+        assert not engine._kept_stream, taken
+    real_worker, seen = engine._worker_gaps, []
+
+    def fail(task):
+        seen.append(task)
+        if len(seen) == 5:
+            raise MemoryError
+        return real_worker(task)
+
+    monkeypatch.setattr(engine, "_worker_gaps", fail)
+    with pytest.raises(MemoryError):
+        list(engine.gap_blocks(**_INDEX_PASS))
+    assert not engine._kept_stream
+    monkeypatch.setattr(engine, "_worker_gaps", real_worker)
+    # prime mode, and a one-segment index pass
+    list(engine.gap_blocks(prime_limit=250_000, workers=1, segment_slots=1 << 10))
+    list(engine.gap_blocks(index_limit=1, workers=1))
+    assert not engine._kept_stream
+
+
+def test_other_workers_or_segment_size_sieve_again(monkeypatch):
+    calls = _record_passes(monkeypatch)
+    passes = [(1, 1 << 10), (2, 1 << 10), (1, 1 << 11), (1, 1 << 11), (1, 1 << 10)]
+    runs = [_fields(engine.gap_blocks(index_limit=20_000, workers=w, segment_slots=s))
+            for w, s in passes]
+    # the fourth replays the third; only the last stream is kept, so the fifth sieves
+    assert len(calls) == 4
+    assert runs[1] == runs[4] == runs[0]
+    assert runs[3] == runs[2]
+
+
+def test_corollary_c_values_share_one_pass(monkeypatch):
+    fresh = []
+    for c in (0.0, 2.0, 3.0):
+        engine._kept_stream.clear()
+        fresh.append(verify.corollary_ratio(20_000, c, **_SMALL_SEGMENTS).to_csv_row())
+    engine._kept_stream.clear()
+    calls = _record_passes(monkeypatch)
+    shared = [verify.corollary_ratio(20_000, c, **_SMALL_SEGMENTS).to_csv_row()
+              for c in (0.0, 2.0, 3.0)]
+    assert len(calls) == 1
+    assert shared == fresh
+
+
+def test_theorem1_between_corollaries_keeps_the_stream(monkeypatch):
+    calls = _record_passes(monkeypatch)
+    verify.corollary_ratio(20_000, 3.0, **_SMALL_SEGMENTS)
+    verify.theorem1_ratio(20_000, -1.0, **_SMALL_SEGMENTS)  # d_1 is read from a pass to 13
+    verify.corollary_ratio(20_000, 2.0, **_SMALL_SEGMENTS)
+    assert [limit for _, limit in calls] == [engine._sieve_limit(None, 20_000)[0], 20_000, 13]
+
+
+def test_pass_segment_slots_follow_the_sieve_bound():
+    # index 5e8 sieves to about 1.15e10, past 2^33, where segments double
+    assert engine.effective_segment_slots(5 * 10**8) == 1 << 20
+    assert engine.pass_segment_slots(index_limit=5 * 10**8) == 1 << 21
+    assert engine.pass_segment_slots(prime_limit=5 * 10**8) == 1 << 20
+    assert engine.pass_segment_slots(index_limit=5 * 10**8, segment_slots=1 << 10) == 1 << 10
+
+
 def _record_task(task):
     """A segment task that leaves one file per run in the directory it is given."""
     lo, _, _, outdir = task

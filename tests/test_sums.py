@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from gapsum import sums, verify
+from gapsum import engine, sums, verify
 from gapsum.errors import (
     EmptyDomainError,
     UnsupportedExponentError,
@@ -221,6 +221,37 @@ def test_resume_of_completed_run_is_graceful():
         again = series(snapshot_limits=[], segment_slots=slots, resume=states[-1])
         assert again[-1].value == full[-1].value
         assert again[-1].terms == full[-1].terms
+
+
+# N = 20,000 sieves to 244,185 in 120 segments of 2048 integers.
+_COROLLARY = dict(workers=1, segment_slots=1 << 10)
+
+
+def test_replayed_series_sees_the_same_segments():
+    runs = []
+    for _ in range(2):  # the first sieves, the second replays
+        states = []
+        snaps = sums.erdos_nathanson_series(20_000, 3.0, **_COROLLARY, on_segment=states.append)
+        runs.append((snaps, states))
+    assert engine._kept_stream
+    assert runs[1] == runs[0]
+    stopped = []
+    with pytest.raises(sums.RunInterrupted):
+        sums.erdos_nathanson_series(20_000, 3.0, **_COROLLARY, on_segment=stopped.append,
+                                    stop_after_segments=7)
+    assert stopped == runs[0][1][:7]
+
+
+def test_stopped_and_resumed_series_keep_nothing():
+    states = []
+    with pytest.raises(sums.RunInterrupted):
+        sums.erdos_nathanson_series(20_000, 3.0, **_COROLLARY, on_segment=states.append,
+                                    stop_after_segments=5)
+    assert not engine._kept_stream
+    resumed = sums.erdos_nathanson_series(20_000, 3.0, **_COROLLARY, resume=states[-1])
+    assert not engine._kept_stream
+    assert resumed == sums.erdos_nathanson_series(20_000, 3.0, **_COROLLARY)
+    assert engine._kept_stream  # the run from scratch is kept
 
 
 def test_float_results_stable_across_segment_sizes():
