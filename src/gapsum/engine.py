@@ -507,15 +507,13 @@ def consecutive_gap_counts(
 # Prime tuple counts
 
 def _normalize_offsets(h) -> tuple[int, ...]:
-    offsets = tuple(int(x) for x in getattr(h, "offsets", h))
+    offsets = tuple(_check_limit(x, 0, "tuple offset") for x in getattr(h, "offsets", h))
     if not offsets:
         raise ValidationError("tuple offsets must be non-empty")
     if offsets[0] != 0:
         raise ValidationError("tuple offsets must start at 0")
     if any(b <= a for a, b in zip(offsets, offsets[1:])):
         raise ValidationError("tuple offsets must be strictly increasing")
-    if offsets[-1] > CAPACITY_LIMIT:
-        raise CapacityError("tuple offset exceeds supported range")
     return offsets
 
 

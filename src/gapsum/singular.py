@@ -33,7 +33,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from . import engine
-from .errors import CapacityError, EmptyDomainError, PrecisionError, ValidationError
+from .errors import CapacityError, PrecisionError, ValidationError
 
 # Cutoff between the directly-multiplied head and the prime-zeta tail of
 # the cached generic products.
@@ -68,7 +68,7 @@ class TupleSpec:
     @classmethod
     def from_integers(cls, values: Iterable[int]) -> "TupleSpec":
         """Normalize an arbitrary set of distinct integers by translation."""
-        vals = sorted(set(int(v) for v in values))
+        vals = sorted(set(values))
         if not vals:
             raise ValidationError("tuple offsets must be non-empty")
         base = vals[0]
@@ -116,37 +116,13 @@ def is_admissible(h) -> bool:
 # ---------------------------------------------------------------------------
 # Small factorization helpers
 
-_SPF_SIZE = 1 << 20
-
-
-@lru_cache(maxsize=1)
-def _spf_table() -> np.ndarray:
-    """Smallest-prime-factor table for n < 2^20."""
-    n = _SPF_SIZE
-    spf = np.arange(n, dtype=np.int32)
-    for p in range(2, math.isqrt(n - 1) + 1):
-        if spf[p] == p:
-            sl = spf[p * p :: p]
-            np.minimum(sl, p, out=sl)
-    return spf
-
-
 def _distinct_prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1, smallest first.
+    """Distinct prime factors of n, smallest first; n must be >= 1.
 
-    Below 2^20 the table answers; above it 2, 3 and 5 are divided out and
-    the cofactor goes to ``_odd_prime_factors``.
+    2, 3 and 5 are divided out and the cofactor goes to
+    ``_odd_prime_factors``.  At n = 0 the divide-out loop would never end.
     """
-    n = int(n)
     out: list[int] = []
-    if n < _SPF_SIZE:
-        spf = _spf_table()
-        while n > 1:
-            p = int(spf[n])
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        return out
     for p in (2, 3, 5):
         if n % p == 0:
             out.append(p)
@@ -162,20 +138,16 @@ def _odd_prime_factors(n: int) -> set[int]:
 
     Miller-Rabin with ``engine._MR_BASES`` proves n prime below 2^64, and
     a witness proves n composite at any size.  A composite is split by
-    Pollard-Brent rho and each part factored under the same rule.  Only
-    a cofactor at or above 2^64 that Miller-Rabin calls probably prime is
-    trial-divided, since no primality test here is proven that far.
+    Pollard-Brent rho and each part factored under the same rule.  A
+    cofactor at or above 2^64 that Miller-Rabin calls probably prime
+    raises CapacityError, since no primality test here is proven that
+    far; d and tuple offsets are capped at 2^63 - 1, so none reaches it.
     """
     if not engine._is_prime(n):
         f = _brent_factor(n)
         return _odd_prime_factors(f) | _odd_prime_factors(n // f)
-    if n < 1 << 64:
-        return {n}
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return {f} | _odd_prime_factors(n // f)
-        f += 2
+    if n >= 1 << 64:
+        raise CapacityError(f"cannot prove the cofactor {n} prime: it is at or above 2^64")
     return {n}
 
 
@@ -358,7 +330,8 @@ def _choose_direct_truncation(target: float) -> int:
     return hi
 
 
-_twin_cache: dict[tuple, SingularValue] = {}
+# Direct products by truncation; the accelerated route is cached by ``_c2``.
+_twin_cache: dict[int, SingularValue] = {}
 
 
 def twin_prime_constant(
@@ -401,26 +374,21 @@ def twin_prime_constant(
 
     if method == "accelerated":
         cutoff = int(truncation) if truncation is not None else _CONSTANT_CUTOFF
-        key = ("accelerated", cutoff)
-        if key not in _twin_cache:
-            value, err = _generic_product(2, cutoff)
-            _twin_cache[key] = SingularValue(value, err, cutoff)
-        result = _twin_cache[key]
+        result = _c2(cutoff)
     else:
         p_cut = int(truncation) if truncation is not None else _choose_direct_truncation(target_error)
         p_cut = max(p_cut, 7)
         if p_cut > 1 << 34:
             raise CapacityError("direct truncation beyond 2^34")
-        key = ("direct", p_cut)
-        if key not in _twin_cache:
+        if p_cut not in _twin_cache:
             parts = []
             for block in engine.prime_blocks(p_cut, workers=workers):
                 q = block.astype(np.float64)
                 parts.append(float(np.sum(np.log1p(-((q - 1.0) ** -2)))))
             value = math.exp(math.fsum(parts))
             err = value * (_elementary_tail_bound(p_cut) + 1e-14)
-            _twin_cache[key] = SingularValue(value, err, p_cut)
-        result = _twin_cache[key]
+            _twin_cache[p_cut] = SingularValue(value, err, p_cut)
+        result = _twin_cache[p_cut]
     if target_error is not None and result.abs_error > target_error:
         raise PrecisionError(
             f"certified bound {result.abs_error:.3e} exceeds target {target_error:.3e} "
@@ -429,11 +397,13 @@ def twin_prime_constant(
     return result
 
 
-@lru_cache(maxsize=1)
-def _c2() -> SingularValue:
-    """The module's working copy of C2 (certified ~1e-13, cached per process)."""
-    value, err = _generic_product(2)
-    return SingularValue(value, err, _CONSTANT_CUTOFF)
+@lru_cache(maxsize=8)
+def _c2(cutoff: int = _CONSTANT_CUTOFF) -> SingularValue:
+    """C2 by the accelerated route (certified ~1e-13, cached per process).
+
+    ``_c2()`` is the module's working copy.
+    """
+    return SingularValue(*_generic_product(2, cutoff), cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +416,7 @@ def pair_singular(d: int) -> SingularValue:
     carried as an exact integer fraction until the final division, so
     the error bound is inherited from C2 alone.
     """
-    d = int(d)
-    if d < 1:
-        raise ValidationError("d must be a positive integer")
+    d = engine._check_limit(d, 1, "d")
     if d % 2:
         return SingularValue(0.0, 0.0, 0)
     num = 1
@@ -552,12 +520,9 @@ def pair_singular_sum_grid(limits: Sequence[int]) -> list[PairSumState]:
 
     The error term is total - X + log(X)/2.
     """
-    xs = [int(x) for x in limits]
+    xs = [engine._check_limit(x, 2, "X") for x in limits]
     if not xs:
         raise ValidationError("at least one limit is required")
-    for x in xs:
-        if x < 2:
-            raise EmptyDomainError(f"pair sum needs X >= 2, got {x}")
     x_max = max(xs)
     if x_max > _PAIR_SWEEP_CAP:
         raise CapacityError(
@@ -604,8 +569,8 @@ def triple_row_sum(d: int, truncation: int = DEFAULT_TRUNCATION) -> RowSum:
     sum is ``math.fsum`` of them and the error bound their left-to-right
     sum, as a loop over h would give.
     """
-    d = int(d)
-    if d < 2 or d % 2:
+    d = engine._check_limit(d, 2, "d")
+    if d % 2:
         raise ValidationError("row sums are defined for even d >= 2")
     if d == 2:
         return RowSum(0.0, 0.0, 0.0)

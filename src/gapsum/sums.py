@@ -137,6 +137,8 @@ def _pending_grid(grid: Sequence[int] | None, limit: int, done: list[SumSnapshot
 def _segments(state: AccumulatorState, stop_after_segments: int | None, **limits):
     """The gap blocks from ``state``'s restart point on; raise RunInterrupted
     once the budget's last one is consumed."""
+    if stop_after_segments is not None and stop_after_segments < 1:
+        raise ValidationError(f"stop_after_segments must be >= 1, got {stop_after_segments}")
     blocks = engine.gap_blocks(**limits, start_lo=state.next_lo, init_last=state.last_prime,
                                init_n=state.next_n)
     for done, block in enumerate(blocks, 1):
@@ -367,8 +369,8 @@ def sandwich_check(
     The bracket lower <= middle <= upper is a set-theoretic certainty;
     ``ok`` is False only under an implementation bug.
     """
-    d = int(d)
-    if d < 2 or d % 2:
+    d = engine._check_limit(d, 2, "d")
+    if d % 2:
         raise ValidationError("the sandwich is defined for even d >= 2")
     limit = engine._check_limit(limit, d + 3)
     counts = engine.tuple_counts(

@@ -138,7 +138,7 @@ def conjecture1_ratio(
     reports = []
     todo: list[int] = []
     for d in d_list:
-        d = int(d)
+        d = engine._check_limit(d, 1, "d")
         if d % 2:
             reports.append(
                 VerificationReport(
@@ -190,12 +190,13 @@ def lemma22_ratio_curve(
     """Row sums of triple singular series against d * S({0,d})."""
     out = []
     for d in d_list:
-        row = singular.triple_row_sum(int(d), truncation)
-        denom = int(d) * singular.pair_singular(int(d)).value
+        d = engine._check_limit(d, 2, "d")
+        row = singular.triple_row_sum(d, truncation)
+        denom = d * singular.pair_singular(d).value
         out.append(
             VerificationReport.build(
                 "lemma22",
-                {"P": int(truncation), "d": int(d)},
+                {"P": int(truncation), "d": d},
                 row.sum,
                 denom,
                 notes=f"abs_error={format_float(row.abs_error)}",
@@ -237,8 +238,8 @@ def sieve_bound_check(
     reports = []
     todo = []
     for h, d in samples:
-        h, d = int(h), int(d)
-        if not (0 < h < d):
+        h, d = engine._check_limit(h, 1, "h"), engine._check_limit(d, 2, "d")
+        if h >= d:
             raise ValidationError(f"sample ({h}, {d}) must satisfy 0 < h < d")
         sv = singular.tuple_singular((0, h, d), truncation)
         if sv.value == 0:

@@ -393,6 +393,15 @@ def test_stop_after_requires_checkpoint_dir(tmp_path, monkeypatch):
         tmp_path, monkeypatch,
     )
     assert code == 1
+    for budget in ("0", "-3"):
+        code = run_cli(
+            ["weighted-sum", "--limit", "1e4", "--alpha", "0", "--checkpoint-dir", "ck",
+             "--stop-after-segments", budget],
+            tmp_path, monkeypatch,
+        )
+        assert code == 1
+        assert not (tmp_path / "gapsum-weighted-sum.csv").exists()
+        assert not (tmp_path / "ck" / "gapsum-weighted-sum.ckpt").exists()
 
 
 def test_verification_suite_report_names_are_distinct():

@@ -162,7 +162,7 @@ def test_tuple_count_small_limit_returns_zero():
 
 
 def test_tuple_count_validation():
-    for bad in [(), (1, 3), (0, 2, 2), (0, 3, 2)]:
+    for bad in [(), (1, 3), (0, 2, 2), (0, 3, 2), (0, 2.5)]:
         with pytest.raises(ValidationError):
             engine.tuple_count(100, bad)
 

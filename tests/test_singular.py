@@ -174,7 +174,7 @@ def test_pair_singular_validation():
 
 
 def test_pair_singular_large_prime_factor():
-    # exercises the factoring branch past the table
+    # a prime factor above 2^20
     p = 1_299_709  # the 10^5-th prime, > 2^20
     sv = singular.pair_singular(2 * p)
     expected = 2 * singular._c2().value * (p - 1) / (p - 2)
@@ -214,6 +214,32 @@ def test_factoring_splits_a_composite_cofactor_above_2_64():
     assert factors == [3, 193_707_721, 761_838_257_287]
     assert singular._distinct_prime_factors(7 * 11 * (2**31 - 1) ** 2 * (2**61 - 1)) == [
         7, 11, 2**31 - 1, 2**61 - 1]
+
+
+def test_factoring_matches_trial_division_below_2_16():
+    for n in range(1, 1 << 16):
+        assert singular._distinct_prime_factors(n) == oracles.distinct_prime_factors(n), n
+
+
+def test_factoring_prime_powers():
+    # rho must split p^k, whose cycles mod p and mod p^k can close together
+    for p in filter(oracles.is_prime, range(7, 1 << 12)):
+        q = p
+        while q < 1 << 62:
+            assert singular._distinct_prime_factors(q) == [p], (p, q)
+            q *= p
+
+
+def test_pair_singular_beyond_capacity_refused_quickly():
+    # 2^89 - 1 is prime: no test here proves that, and trial division
+    # to its square root would never end
+    start = time.perf_counter()
+    for d in (2 * (2**89 - 1), 2**63):
+        with pytest.raises(CapacityError):
+            singular.pair_singular(d)
+    with pytest.raises(CapacityError):
+        singular._distinct_prime_factors(2 * (2**89 - 1))
+    assert time.perf_counter() - start < 1.0
 
 
 _ORACLE_PRIMES = st.integers(min_value=2, max_value=999_983).map(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from gapsum import engine, sums, verify
+from gapsum import engine, singular, sums, verify
 from gapsum.errors import (
     EmptyDomainError,
     UnsupportedExponentError,
@@ -82,6 +82,22 @@ def test_float_limits_refused():
     with pytest.raises(ValidationError):
         sums.sandwich_check(2500.7, 2)
     with pytest.raises(ValidationError):
+        sums.sandwich_check(1000, 10.7)
+    with pytest.raises(ValidationError):
+        singular.pair_singular(6.5)
+    with pytest.raises(ValidationError):
+        singular.triple_row_sum(10.7)
+    with pytest.raises(ValidationError):
+        singular.pair_singular_sum_grid([1000, 2500.7])
+    with pytest.raises(ValidationError):
+        singular.TupleSpec((0, 2.5))
+    with pytest.raises(ValidationError):
+        singular.TupleSpec.from_integers([1, 3.5])
+    with pytest.raises(ValidationError):
+        singular.tuple_singular((0, 2.5))
+    with pytest.raises(ValidationError):
+        singular.is_admissible((0, 2.5))
+    with pytest.raises(ValidationError):
         verify.theorem1_ratio(2500.7, 0.0)
     with pytest.raises(ValidationError):
         verify.theorem1_ratio(2500.7, 0.0, "index")
@@ -91,6 +107,12 @@ def test_float_limits_refused():
         verify.conjecture1_ratio(2500.7, [2])
     with pytest.raises(ValidationError):
         verify.sieve_bound_check(2500.7, [(2, 6)])
+    with pytest.raises(ValidationError):
+        verify.conjecture1_ratio(1000, [2.5])
+    with pytest.raises(ValidationError):
+        verify.lemma22_ratio_curve([10.7])
+    with pytest.raises(ValidationError):
+        verify.sieve_bound_check(1000, [(2, 6.5)])
 
 
 def test_en_sum_hand_values():
