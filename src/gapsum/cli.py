@@ -169,9 +169,8 @@ def _sieve_bound(a: argparse.Namespace) -> Output:
 
 
 def _weighted_sum(a: argparse.Namespace) -> Output | None:
-    if a.start_index is None:
-        a.start_index = 2 if a.alpha < 0 else 1
-    weight = sums.WeightSpec(a.alpha, a.start_index)
+    weight = sums.WeightSpec(a.alpha)
+    a.start_index = 2 if a.alpha < 0 else 1  # the first n summed, for the header and digest
     return _stream(a, lambda **kw: sums.weighted_gap_sum_series(
         weight, **{f"{a.mode}_limit": a.limit}, **kw))
 
@@ -271,7 +270,7 @@ COMMANDS = {
                               {"--limit": _COUNT}, _gaps_histogram),
     "weighted-sum": Command("sum of log^alpha(d_n)/d_n over the gap stream", {
         "--limit": _COUNT, "--alpha": dict(type=float, default=0.0), "--mode": _MODE,
-        "--start-index": dict(type=parse_count), **_STREAM}, _weighted_sum),
+        **_STREAM}, _weighted_sum),
     "en-sum": Command("sum of 1/(d_n n (loglog n)^c), n from 3", {
         "--limit": dict(_COUNT, help="index limit"), "--c": _FLOAT, **_STREAM}, _en_sum),
     "singular-pair": Command("S({0,d})", {"--d": _COUNT}, lambda a: _singular(

@@ -376,13 +376,11 @@ def gap_blocks(
     this fold adds the gap that crosses into the segment, numbers the gaps
     and stops at the index limit.
 
-    A from-scratch index pass to N <= 2^24 that is consumed to its end, over
-    more than one segment, is kept in place of the previous one; the next
-    from-scratch pass with the same sieve bound, N, worker count and segment
-    size replays its blocks (equal field by field) instead of sieving.  A
-    pass closed early or ended by an exception keeps nothing.  A one-segment
-    pass, such as the pass to 13 that reads d_1, costs one segment to sieve
-    again and would evict a longer stream, so it is not kept.
+    A from-scratch index pass to N <= 2^24 that is consumed to its end is
+    kept in place of the previous one; the next from-scratch pass with the
+    same sieve bound, N, worker count and segment size replays its blocks
+    (equal field by field) instead of sieving.  A pass closed early or ended
+    by an exception keeps nothing.
     """
     sieve_limit, index_limit = _sieve_limit(prime_limit, index_limit)
     if index_limit is not None and init_n > index_limit:
@@ -419,7 +417,7 @@ def gap_blocks(
             kept.append((n, (gaps >> 1).astype(np.uint8), top, seg_end))
         yield GapBlock(n, gaps, top, seg_end)
         if done:
-            if kept is not None and len(kept) > 1:
+            if kept is not None:
                 _kept_stream.clear()
                 _kept_stream[key] = kept
             return

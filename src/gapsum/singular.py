@@ -104,9 +104,10 @@ def _coerce_tuple(h) -> TupleSpec:
 
 def residue_count(h, p: int) -> int:
     """v_H(p): the number of distinct residue classes of H modulo p."""
-    if not engine._is_prime(int(p)):
+    p = engine._check_limit(p, 2, "modulus")
+    if not engine._is_prime(p):
         raise ValidationError(f"modulus {p} is not prime")
-    return _coerce_tuple(h).residues(int(p))
+    return _coerce_tuple(h).residues(p)
 
 
 def is_admissible(h) -> bool:
@@ -367,16 +368,17 @@ def twin_prime_constant(
             raise PrecisionError(
                 f"cannot certify below {_PRECISION_FLOOR} in double precision"
             )
-    if truncation is not None and method == "auto":
-        raise ValidationError("an explicit truncation requires method='direct' or 'accelerated'")
+    if truncation is not None:
+        if method == "auto":
+            raise ValidationError("an explicit truncation requires method='direct' or 'accelerated'")
+        truncation = engine._check_limit(truncation, 1, "truncation")
     if method == "auto":
         method = "direct" if target_error >= 1e-7 else "accelerated"
 
     if method == "accelerated":
-        cutoff = int(truncation) if truncation is not None else _CONSTANT_CUTOFF
-        result = _c2(cutoff)
+        result = _c2(_CONSTANT_CUTOFF if truncation is None else truncation)
     else:
-        p_cut = int(truncation) if truncation is not None else _choose_direct_truncation(target_error)
+        p_cut = _choose_direct_truncation(target_error) if truncation is None else truncation
         p_cut = max(p_cut, 7)
         if p_cut > 1 << 34:
             raise CapacityError("direct truncation beyond 2^34")
@@ -444,9 +446,7 @@ def tuple_singular(h, truncation: int = DEFAULT_TRUNCATION) -> SingularValue:
     """
     spec = _coerce_tuple(h)
     k = spec.k
-    p_cut = int(truncation)
-    if p_cut < k:
-        raise ValidationError(f"truncation {p_cut} below tuple size {k}")
+    p_cut = engine._check_limit(truncation, k, "truncation")
     if k == 1:
         return SingularValue(1.0, 0.0, p_cut)
     if not spec.admissible:
@@ -570,11 +570,11 @@ def triple_row_sum(d: int, truncation: int = DEFAULT_TRUNCATION) -> RowSum:
     sum, as a loop over h would give.
     """
     d = engine._check_limit(d, 2, "d")
+    p_cut = engine._check_limit(truncation, 1, "truncation")
     if d % 2:
         raise ValidationError("row sums are defined for even d >= 2")
     if d == 2:
         return RowSum(0.0, 0.0, 0.0)
-    p_cut = int(truncation)
     if p_cut < 3:
         raise ValidationError(f"truncation {p_cut} below tuple size 3")
     gen, gen_err = _generic_product(3)

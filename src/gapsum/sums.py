@@ -3,13 +3,14 @@
 Both kinds of sum read the blocks of ``engine.gap_blocks`` and split them
 at the snapshot cuts.  A sum of a weight f(d) depends on the gaps only
 through their histogram N(d), so weighted sums and the range split
-bincount the blocks: each value is the sum of fl(f(d)) * N(d), computed
-exactly and rounded once, which is the correctly rounded sum of the
-per-gap floats and does not depend on segment size, worker count or a
-resume.  The Erdos-Nathanson series depends on n, so it is folded gap by
-gap with compensated (Neumaier) summation in segment order: bit-identical
-for any worker count and across a resume, while the segment size may
-move its last bit.
+bincount the blocks: each value is the sum of fl(f(d)) * N(d) over the
+bins the weight takes (all but d = 1 for alpha < 0), computed exactly and
+rounded once, which is the correctly rounded sum of the per-gap floats
+and does not depend on segment size, worker count or a resume.  The
+Erdos-Nathanson series depends on n, so it is folded gap by gap with
+compensated (Neumaier) summation in segment order: bit-identical for any
+worker count and across a resume, while the segment size may move its
+last bit.
 """
 
 from __future__ import annotations
@@ -38,33 +39,28 @@ class RunInterrupted(Exception):
 class WeightSpec:
     """The weight family f(t) = t^(-1) (log t)^alpha, alpha >= -1.
 
-    For alpha < 0 the first gap d_1 = 1 is excluded (log 1 = 0 cannot be
-    raised to a negative power), which forces start_index >= 2.  The
+    For alpha < 0 the sums skip d_1 = 1, the only gap equal to 1 (log 1 = 0
+    cannot be raised to a negative power), so they run from n = 2; the
     excluded term is irrelevant to any of the asymptotics tracked here.
     For 0 <= alpha <= 1 the weight is strictly decreasing on [2, oo);
     larger alpha is accepted for plain accumulation.
     """
 
     alpha: float
-    start_index: int = 1
 
     def __post_init__(self):
         if not math.isfinite(self.alpha):
             raise ValidationError(f"alpha must be finite, got {self.alpha}")
         if self.alpha < -1:
             raise UnsupportedExponentError("alpha must satisfy alpha >= -1")
-        if self.start_index < 1:
-            raise ValidationError("start_index must be >= 1")
-        if self.alpha < 0 and self.start_index < 2:
-            raise ValidationError(
-                "alpha < 0 requires start_index >= 2 (d_1 = 1 has no log weight)"
-            )
 
     def evaluate(self, gaps: np.ndarray) -> np.ndarray:
         g = gaps.astype(np.float64)
-        if self.alpha == 0:
-            return np.divide(1.0, g, out=g)
         return np.log(g) ** self.alpha / g
+
+    def summed(self, counts: dict[int, int]) -> dict[int, int]:
+        """The bins of a gap histogram this weight sums: all but d = 1 when alpha < 0."""
+        return {d: c for d, c in counts.items() if d > 1 or self.alpha >= 0}
 
 
 @dataclass(frozen=True)
@@ -150,14 +146,6 @@ def _segments(state: AccumulatorState, stop_after_segments: int | None, **limits
 # ---------------------------------------------------------------------------
 # Weighted gap sums, read from the gap histogram
 
-def _leading_counts(start_index: int) -> Counter:
-    """Counts of the gaps d_n with n < start_index."""
-    if start_index == 1:
-        return Counter()
-    blocks = engine.gap_blocks(index_limit=start_index - 1, workers=1)
-    return sum((engine._gap_counter(block.gaps) for block in blocks), Counter())
-
-
 def _closing_cuts(block: engine.GapBlock, cuts: list[int], mode: str) -> list[tuple[int, int]]:
     """Take the cuts that close in ``block`` off the front of ``cuts``, each with its position.
 
@@ -176,16 +164,9 @@ def _closing_cuts(block: engine.GapBlock, cuts: list[int], mode: str) -> list[tu
     return list(zip(closing, positions))
 
 
-def _kept(counts: dict[int, int], leading: Counter) -> dict[int, int]:
-    """Counts of d_1, ..., d_T less the ``leading`` gaps; none if T does not pass them."""
-    if sum(counts.values()) <= leading.total():
-        return {}
-    return {d: c - leading[d] for d, c in counts.items()}
-
-
 def _exact_sum(weight: WeightSpec, counts: dict[int, int]) -> float:
     """The sum of fl(f(d)) * N(d) over the bins, computed exactly and rounded once."""
-    bins = np.array([d for d, c in counts.items() if c], dtype=np.int64)
+    bins = np.array(list(counts), dtype=np.int64)
     terms = zip(bins.tolist(), weight.evaluate(bins).tolist())
     return float(sum((Fraction(w) * counts[d] for d, w in terms), Fraction(0)))
 
@@ -217,21 +198,20 @@ def weighted_gap_sum_series(
     state = resume or AccumulatorState()
     snaps = list(state.snapshots)
     cuts = _pending_grid(snapshot_limits, limit, snaps)
-    hist, leading = Counter(state.counts), _leading_counts(weight.start_index)
+    hist = Counter(state.counts)
     for block in _segments(state, stop_after_segments, **{f"{mode}_limit": limit},
                            workers=workers, segment_slots=segment_slots):
         prev = 0
         for cut, pos in _closing_cuts(block, cuts, mode):
             hist.update(engine._gap_counter(block.gaps[prev:pos]))
-            kept = _kept(hist, leading)
+            kept = weight.summed(hist)
             snaps.append(SumSnapshot(mode, cut, _exact_sum(weight, kept), sum(kept.values()), 0.0))
             prev = pos
         hist.update(engine._gap_counter(block.gaps[prev:]))
         if on_segment is not None:
-            next_n = block.n0 + len(block.gaps)
             on_segment(AccumulatorState(
-                block.seg_end, block.last_prime, next_n,
-                terms=max(0, next_n - weight.start_index),
+                block.seg_end, block.last_prime, block.n0 + len(block.gaps),
+                terms=sum(weight.summed(hist).values()),
                 counts=dict(hist), snapshots=list(snaps),
             ))
     return snaps
@@ -344,7 +324,7 @@ def range_split_sum(
     log_x = math.log(x)
     y = log_x / math.log(log_x)
     hist = engine.consecutive_gap_counts(x, workers=workers, segment_slots=segment_slots)
-    counts = _kept(hist.counts, _leading_counts(weight.start_index))
+    counts = weight.summed(hist.counts)
     bounds = (0, y, log_x, math.inf)
     return RangeSplit(x, y, *(
         _exact_sum(weight, {d: c for d, c in counts.items() if lo < d <= hi})

@@ -188,6 +188,7 @@ def lemma22_ratio_curve(
     d_list: Sequence[int], truncation: int = singular.DEFAULT_TRUNCATION
 ) -> list[VerificationReport]:
     """Row sums of triple singular series against d * S({0,d})."""
+    truncation = engine._check_limit(truncation, 1, "truncation")
     out = []
     for d in d_list:
         d = engine._check_limit(d, 2, "d")
@@ -196,7 +197,7 @@ def lemma22_ratio_curve(
         out.append(
             VerificationReport.build(
                 "lemma22",
-                {"P": int(truncation), "d": d},
+                {"P": truncation, "d": d},
                 row.sum,
                 denom,
                 notes=f"abs_error={format_float(row.abs_error)}",
@@ -234,6 +235,7 @@ def sieve_bound_check(
     larger ratio indicates a bug, not a discovery.
     """
     x = engine._check_limit(limit, 2)
+    truncation = engine._check_limit(truncation, 3, "truncation")
     log_x = math.log(x)
     reports = []
     todo = []
@@ -284,8 +286,7 @@ def theorem1_ratio(
     """
     x = engine._check_limit(limit, 16)
     alpha = float(alpha)
-    start = 2 if alpha < 0 else 1
-    weight = sums.WeightSpec(alpha, start)
+    weight = sums.WeightSpec(alpha)
     notes = ""
     if mode == "prime":
         split = sums.range_split_sum(x, weight, workers=workers, segment_slots=segment_slots)

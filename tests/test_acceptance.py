@@ -62,7 +62,7 @@ def test_criterion_01_oracle_equivalence(oracle_primes_1e5, oracle_prime_set_1e5
     for alpha in (-1.0, 0.0, 1.0):
         start = 2 if alpha < 0 else 1
         brute = oracles.weighted_sum(alpha, gaps, start)
-        ours = sums.weighted_gap_sum(WeightSpec(alpha, start), index_limit=len(gaps)).value
+        ours = sums.weighted_gap_sum(WeightSpec(alpha), index_limit=len(gaps)).value
         if abs(ours - brute) > 1e-12 * abs(brute):
             problems.append(f"weighted alpha={alpha}")
     n_max = len(gaps)

@@ -107,6 +107,10 @@ def test_en_sum_heuristic_tail_printed(tmp_path, monkeypatch, capsys):
 
 def test_unknown_flag_exits_1(tmp_path, monkeypatch, capsys):
     assert run_cli(["weighted-sum", "--limit", "10", "--bogus"], tmp_path, monkeypatch) == 1
+    # alpha alone decides the first n summed
+    args = ["weighted-sum", "--limit", "1000", "--alpha", "-1", "--start-index", "3"]
+    assert run_cli(args, tmp_path, monkeypatch) == 1
+    assert not (tmp_path / "gapsum-weighted-sum.csv").exists()
 
 
 def test_unknown_command_exits_1(tmp_path, monkeypatch):

@@ -330,11 +330,12 @@ def _record_passes(monkeypatch) -> list:
 
 def test_every_alpha_reads_one_gap_pass(monkeypatch, oracle_primes_1e5):
     calls = _record_passes(monkeypatch)
-    for alpha in (-1.0, 0.0, 1.0):
+    verify.theorem1_ratio(100_000, -1.0)  # alpha < 0 drops the d = 1 bin, with no pass of its own
+    assert calls == [(engine._worker_gaps, 100_000)]
+    for alpha in (0.0, 1.0):
         verify.theorem1_ratio(100_000, alpha)
     hist = engine.consecutive_gap_counts(100_000)
-    # alpha = -1 starts at n = 2, and its leading gap d_1 is read from a pass to 13
-    assert calls == [(engine._worker_gaps, 100_000), (engine._worker_gaps, 13)]
+    assert calls == [(engine._worker_gaps, 100_000)]
     assert hist.counts == oracles.gap_histogram(100_000, oracle_primes_1e5)
 
 
@@ -421,10 +422,14 @@ def test_unfinished_or_other_passes_keep_nothing(monkeypatch):
         list(engine.gap_blocks(**_INDEX_PASS))
     assert not engine._kept_stream
     monkeypatch.setattr(engine, "_worker_gaps", real_worker)
-    # prime mode, and a one-segment index pass
     list(engine.gap_blocks(prime_limit=250_000, workers=1, segment_slots=1 << 10))
-    list(engine.gap_blocks(index_limit=1, workers=1))
-    assert not engine._kept_stream
+    assert not engine._kept_stream  # prime mode
+    # a finished one-segment index pass is kept like any other
+    one_segment = _fields(engine.gap_blocks(index_limit=1, workers=1))
+    assert engine._kept_stream
+    calls = _record_passes(monkeypatch)
+    assert _fields(engine.gap_blocks(index_limit=1, workers=1)) == one_segment
+    assert calls == [] and one_segment[0][:3] == (1, np.uint16, [1])
 
 
 def test_other_workers_or_segment_size_sieve_again(monkeypatch):
@@ -454,9 +459,9 @@ def test_corollary_c_values_share_one_pass(monkeypatch):
 def test_theorem1_between_corollaries_keeps_the_stream(monkeypatch):
     calls = _record_passes(monkeypatch)
     verify.corollary_ratio(20_000, 3.0, **_SMALL_SEGMENTS)
-    verify.theorem1_ratio(20_000, -1.0, **_SMALL_SEGMENTS)  # d_1 is read from a pass to 13
+    verify.theorem1_ratio(20_000, -1.0, **_SMALL_SEGMENTS)
     verify.corollary_ratio(20_000, 2.0, **_SMALL_SEGMENTS)
-    assert [limit for _, limit in calls] == [engine._sieve_limit(None, 20_000)[0], 20_000, 13]
+    assert [limit for _, limit in calls] == [engine._sieve_limit(None, 20_000)[0], 20_000]
 
 
 def test_pass_segment_slots_follow_the_sieve_bound():

@@ -21,14 +21,10 @@ from gapsum.sums import WeightSpec
 def test_weight_validation():
     with pytest.raises(UnsupportedExponentError):
         WeightSpec(-1.5)
-    with pytest.raises(ValidationError):
-        WeightSpec(-1.0)  # start_index must exclude d_1 = 1
-    with pytest.raises(ValidationError):
-        WeightSpec(0.0, 0)
     for alpha in (math.nan, math.inf):
         with pytest.raises(ValidationError):
             WeightSpec(alpha)
-    WeightSpec(-1.0, 2)
+    WeightSpec(-1.0)
     WeightSpec(1.0)
 
 
@@ -55,9 +51,14 @@ def test_weighted_sum_alpha1_n3():
 
 
 def test_weighted_sum_alpha_minus1_n3():
-    snap = sums.weighted_gap_sum(WeightSpec(-1.0, 2), index_limit=3)
+    snap = sums.weighted_gap_sum(WeightSpec(-1.0), index_limit=3)
     assert snap.value == pytest.approx(1 / math.log(2), rel=1e-15)
     assert snap.terms == 2
+    for limits in ({"index_limit": 1}, {"prime_limit": 3}):  # d_1 = 1 only: nothing to sum
+        states = []
+        snaps = sums.weighted_gap_sum_series(WeightSpec(-1.0), **limits, on_segment=states.append)
+        assert [(s.value, s.terms) for s in snaps] == [(0.0, 0)], limits
+        assert [s.terms for s in states] == [0], limits
 
 
 def test_weighted_sum_limit_validation():
@@ -87,6 +88,18 @@ def test_float_limits_refused():
         singular.pair_singular(6.5)
     with pytest.raises(ValidationError):
         singular.triple_row_sum(10.7)
+    with pytest.raises(ValidationError):
+        singular.triple_row_sum(30, truncation=1000.5)
+    with pytest.raises(ValidationError):
+        singular.tuple_singular((0, 2, 6), truncation=1000.9)
+    with pytest.raises(ValidationError):
+        singular.twin_prime_constant(truncation=100.5, method="direct")
+    with pytest.raises(ValidationError):
+        singular.residue_count((0, 2, 6), 5.9)
+    with pytest.raises(ValidationError):
+        verify.lemma22_ratio_curve([10], 1000.5)
+    with pytest.raises(ValidationError):
+        verify.sieve_bound_check(1000, [(2, 6)], truncation=1000.5)
     with pytest.raises(ValidationError):
         singular.pair_singular_sum_grid([1000, 2500.7])
     with pytest.raises(ValidationError):
@@ -136,7 +149,7 @@ def test_weighted_sums_match_brute_force(oracle_primes_1e5):
     for alpha in (-1.0, -0.5, 0.0, 0.5, 1.0):
         start = 2 if alpha < 0 else 1
         brute = oracles.weighted_sum(alpha, gaps, start)
-        snap = sums.weighted_gap_sum(WeightSpec(alpha, start), index_limit=len(gaps))
+        snap = sums.weighted_gap_sum(WeightSpec(alpha), index_limit=len(gaps))
         assert abs(snap.value - brute) <= 1e-12 * abs(brute)
 
 
@@ -194,17 +207,24 @@ def test_snapshot_determinism_across_workers():
         ]
 
 
-def test_resume_reproduces_bits():
+@pytest.mark.parametrize("alpha", [-1.0, 0.0])
+def test_resume_reproduces_bits(alpha):
     kwargs = dict(prime_limit=2_000_000, snapshot_limits=[10**5, 10**6], segment_slots=1 << 14)
-    full = sums.weighted_gap_sum_series(WeightSpec(0.0), **kwargs)
+    full = sums.weighted_gap_sum_series(WeightSpec(alpha), **kwargs)
     states = []
     with pytest.raises(sums.RunInterrupted):
         sums.weighted_gap_sum_series(
-            WeightSpec(0.0), **kwargs, on_segment=states.append, stop_after_segments=9
+            WeightSpec(alpha), **kwargs, on_segment=states.append, stop_after_segments=9
         )
-    resumed = sums.weighted_gap_sum_series(WeightSpec(0.0), **kwargs, resume=states[-1])
-    assert len(states[-1].snapshots) == 1  # the stop falls between the snapshots
+    stopped = states[-1]
+    resumed = sums.weighted_gap_sum_series(
+        WeightSpec(alpha), **kwargs, resume=stopped, on_segment=states.append
+    )
+    assert len(stopped.snapshots) == 1  # the stop falls between the snapshots
     assert resumed == full
+    start = 2 if alpha < 0 else 1  # d_1 = 1 has no log weight
+    assert [s.terms for s in states] == [s.next_n - start for s in states]
+    assert states[-1].terms == full[-1].terms
 
 
 def test_resume_reproduces_bits_index_mode():
@@ -324,7 +344,8 @@ def test_range_split_exact_and_invariant(oracle_primes_1e5):
     # with 2^10 slots the gap 2039 -> 2053 crosses the segment boundary at
     # 2051, and p_309 = 2039: both cuts close on that boundary gap
     grid = [10, 309, 1000, 2053, 5000]
-    for alpha, start in ((-1.0, 2), (0.0, 1), (1.0, 1), (0.0, 3)):
+    for alpha in (-1.0, 0.0, 1.0):
+        start = 2 if alpha < 0 else 1
         parts = [Fraction(0)] * 3
         prime_cuts = {g: Fraction(0) for g in grid + [x]}
         index_cuts = {g: Fraction(0) for g in grid + [len(gaps)]}
@@ -340,13 +361,13 @@ def test_range_split_exact_and_invariant(oracle_primes_1e5):
         expected_index = [float(v) for v in index_cuts.values()]
         for w in (1, 2):
             for s in (1 << 10, 1 << 14, 1 << 18):
-                weight = WeightSpec(alpha, start)
+                weight = WeightSpec(alpha)
                 kw = dict(workers=w, segment_slots=s, snapshot_limits=grid)
                 assert sums.range_split_sum(x, weight, workers=w, segment_slots=s) == expected
                 prime = sums.weighted_gap_sum_series(weight, prime_limit=x, **kw)
                 index = sums.weighted_gap_sum_series(weight, index_limit=len(gaps), **kw)
-                assert [snap.value for snap in prime] == expected_prime, (alpha, start, w, s)
-                assert [snap.value for snap in index] == expected_index, (alpha, start, w, s)
+                assert [snap.value for snap in prime] == expected_prime, (alpha, w, s)
+                assert [snap.value for snap in index] == expected_index, (alpha, w, s)
 
 
 def test_high_component_bounded_by_count(oracle_primes_1e5):
