@@ -1,7 +1,7 @@
 import bisect
 import math
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +78,57 @@ def test_sieve_mask_matches_per_prime_oracle(lo, slots, extra, wide_base, oracle
     base = np.array(oracle_primes_1e5[1 : bisect.bisect_right(oracle_primes_1e5, cap)], np.int64)
     got = engine._sieve_mask(lo, hi, base)
     assert np.array_equal(got, oracles.segment_mask(lo, hi, base))
+    # a tail leaves the mask as it is and holds the wheel pattern unsieved;
+    # lo <= 13 also reads the first segment's primes through it
+    n, tail = len(got), 2 * slots + extra
+    padded = engine._sieve_mask(lo, hi, base, tail=tail)
+    assert len(padded) == n + tail and np.array_equal(padded[:n], got)
+    wheel = np.tile(engine._wheel_pattern(), 2 + tail // engine._WHEEL_PERIOD)
+    phase = (lo // 2 + n) % engine._WHEEL_PERIOD
+    assert np.array_equal(padded[n:], wheel[phase : phase + tail])
+    assert np.array_equal(engine._prime_slots(padded, n), np.flatnonzero(got))
+
+
+@settings(max_examples=200)
+@given(
+    # n = 10 * count sits on the sparse side of numpy's 10% rule
+    n_slots=st.one_of(st.integers(0, 20_000), st.integers(0, 2_000).map(lambda k: 10 * k)),
+    # tails too short to lift the read past 10% as well as long enough ones
+    tail=st.one_of(st.integers(0, 64), st.integers(0, 5_000)),
+    phase=st.integers(0, engine._WHEEL_PERIOD - 1),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_prime_slots_match_flatnonzero(n_slots, tail, phase, seed, data):
+    # densities 0-20%, with exactly 10% and the empty mask drawn on their own
+    count = data.draw(st.one_of(st.just(n_slots // 10), st.just(0), st.integers(0, n_slots // 5)))
+    mask = np.zeros(n_slots, dtype=bool)
+    mask[np.random.default_rng(seed).choice(n_slots, count, replace=False)] = True
+    wheel = np.tile(engine._wheel_pattern(), 2 + tail // engine._WHEEL_PERIOD)
+    padded = np.concatenate([mask, wheel[phase : phase + tail]])
+    got = engine._prime_slots(padded, n_slots)
+    assert got.dtype == np.intp and np.array_equal(got, np.flatnonzero(mask))
+
+
+@pytest.fixture(scope="module")
+def oracle_odd_primes_1e6(oracle_primes_1e5):
+    # the plain oracle sieve over [3, 1e6], from the trial-division primes to 1000
+    small = oracle_primes_1e5[1 : bisect.bisect_right(oracle_primes_1e5, 1000)]
+    return 3 + 2 * np.flatnonzero(oracles.segment_mask(3, 10**6 + 1, small))
+
+
+@pytest.mark.parametrize("x", [10**9, 10**10, 10**12])
+@pytest.mark.parametrize("slots", [1 << 12, 1 << 13, 1 << 14])
+def test_worker_gaps_past_the_sparse_crossover(x, slots, oracle_odd_primes_1e6):
+    lo = x + 1
+    hi = lo + 2 * slots
+    want = np.flatnonzero(oracles.segment_mask(lo, hi, oracle_odd_primes_1e6))
+    assert 10 * len(want) <= slots  # numpy would read this mask by its sparse path
+    first, last, gaps = engine._worker_gaps((lo, hi, math.isqrt(hi) + 1))
+    assert (first, last) == (lo + 2 * int(want[0]), lo + 2 * int(want[-1]))
+    assert gaps[0] == 0 and gaps[1:].tolist() == (2 * np.diff(want)).tolist()
+    packed = engine._pack_gaps(lo, want)
+    assert packed[:2] == (first, last) and np.array_equal(packed[2], gaps)
 
 
 def test_odd_base_primes_match_oracle(oracle_primes_1e5):
@@ -503,3 +554,37 @@ def test_early_closed_pool_pass_cancels_its_queued_segments(tmp_path, monkeypatc
     assert 1 <= len(ran) <= window
     assert ran == [3 + 2 * slots * k for k in range(len(ran))]
     assert not multiprocessing.active_children()
+
+
+class _StubPool:
+    """Runs each submitted call at once and records the pool size asked for."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
+
+
+def test_pool_is_no_larger_than_the_pass(monkeypatch):
+    # a forked ProcessPoolExecutor starts every worker at its first submit
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", _StubPool)
+    monkeypatch.setattr(_StubPool, "sizes", [])
+    slots = 1 << 10
+    limit = 3 + 3 * 2 * slots - 1  # three segments
+    serial = list(engine._segment_map(engine._worker_gaps, limit, workers=1, segment_slots=slots))
+    assert len(serial) == 3
+    for workers in (2, 3, 16):
+        pooled = list(engine._segment_map(engine._worker_gaps, limit, workers=workers,
+                                          segment_slots=slots))
+        assert [end for end, _ in pooled] == [end for end, _ in serial]
+        for (_, got), (_, want) in zip(pooled, serial):
+            assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
+    assert _StubPool.sizes == [2, 3, 3]
