@@ -1,7 +1,8 @@
 """Versioned checkpoints for resumable streaming runs.
 
-A record holds the state after a completed sieve segment.  A run saves
-one when at least ``SAVE_INTERVAL_S`` seconds have passed since its last
+A record holds the state after a completed sieve segment (for the
+Erdos-Nathanson series, at its last chunk boundary).  A run saves one
+when at least ``SAVE_INTERVAL_S`` seconds have passed since its last
 save, and always once more as it ends: at completion, at a
 stop-after-segments stop and when an exception propagates.  Only a hard
 kill can lose up to one interval of work.  Each record is written
@@ -12,9 +13,9 @@ holds the version, mode, limit, configuration digest and the
 histogram as (d, N) pairs and the snapshot rows written.  JSON floats
 round-trip float64 exactly, so a resumed run reproduces the
 uninterrupted run to the last bit.  The digest refuses resumes under a
-different command, limit, weight, segment size or snapshot grid; the
-worker count cannot affect results and is left out.  Version 1 records
-(88 bytes, binary, without histogram or snapshots) are refused.
+different command, limit, weight or snapshot grid; the worker count and
+segment size cannot affect results and are left out.  Versions 1 (88
+binary bytes) and 2 (the series' state at a segment boundary) are refused.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import CheckpointError
 from .sums import AccumulatorState, SumSnapshot
 
 MAGIC = b"GSCK"
-VERSION = 2
+VERSION = 3
 _CHECK = 8
 # Least time between two saves of one run; each save fsyncs (~0.5 ms).
 SAVE_INTERVAL_S = 2.0

@@ -189,12 +189,10 @@ def _stream(a: argparse.Namespace, runner: Callable[..., list[sums.SumSnapshot]]
     if a.snapshot_grid is None:
         a.snapshot_grid = sums.default_snapshot_grid(a.limit)
     # The semantic configuration a checkpoint must match; the worker count
-    # is left out because it cannot affect results.
+    # and segment size are left out because they cannot affect results.
     digest = checkpoint.config_digest({
         "command": a.command, "mode": a.mode, "limit": a.limit, "start_index": a.start_index,
         "alpha": getattr(a, "alpha", None), "c": getattr(a, "c", None),
-        "segment_slots": engine.pass_segment_slots(**{f"{a.mode}_limit": a.limit},
-                                                   segment_slots=a.segment_slots),
         "snapshot_grid": a.snapshot_grid,
     })
 

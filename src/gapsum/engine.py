@@ -86,20 +86,6 @@ def effective_segment_slots(limit: int, segment_slots: int | None = None) -> int
     return min(DEFAULT_SEGMENT_SLOTS << extra, _MAX_SEGMENT_SLOTS)
 
 
-def pass_segment_slots(
-    *,
-    prime_limit: int | None = None,
-    index_limit: int | None = None,
-    segment_slots: int | None = None,
-) -> int:
-    """The odd slots per segment of a gap pass to exactly one of the two limits.
-
-    A pass sieves to its sieve bound, which for an index limit N is a bound
-    on p_{N+1}, so the automatic segment size follows that bound, not N.
-    """
-    return effective_segment_slots(_sieve_limit(prime_limit, index_limit)[0], segment_slots)
-
-
 def _check_limit(limit: int, minimum: int, what: str = "limit") -> int:
     if not isinstance(limit, (int, np.integer)):
         raise ValidationError(f"{what} must be an integer, got {type(limit).__name__}")
@@ -390,9 +376,9 @@ class GapBlock:
 
 
 # The kept index stream: at most one, keyed by (sieve bound, index limit,
-# workers, segment slots), holding (n0, gaps // 2 as uint8, last_prime,
-# seg_end) per block.  The first 2^24 gaps are all at most 248 (OEIS
-# A005250), so each d/2 fits a byte; d_1 = 1 halves to 0 and is restored.
+# workers, segment slots), holding (n0, gaps as uint8, last_prime, seg_end)
+# per block.  The first 2^24 gaps are all at most 248: the next record gap,
+# 250, follows 387,096,133, past p_(2^24) ~ 3.1e8 (OEIS A005250).
 _KEPT_STREAM_GAPS = 1 << 24
 _kept_stream: dict[tuple, list[tuple[int, np.ndarray, int, int]]] = {}
 
@@ -427,16 +413,12 @@ def gap_blocks(
     if index_limit is not None and init_n > index_limit:
         return  # restarted from a run that had already closed the index limit
     workers = default_workers() if workers is None else workers
-    slots = pass_segment_slots(prime_limit=prime_limit, index_limit=index_limit,
-                               segment_slots=segment_slots)
+    slots = effective_segment_slots(sieve_limit, segment_slots)
     key = (sieve_limit, index_limit, workers, slots)
     fresh = index_limit is not None and (start_lo, init_last, init_n) == (_FIRST_ODD, 2, 1)
     if fresh and key in _kept_stream:
-        for n0, halves, top, seg_end in _kept_stream[key]:
-            gaps = halves.astype(np.uint16) << 1
-            if n0 == 1:
-                gaps[:1] = 1  # d_1 = 1 was kept as 0
-            yield GapBlock(n0, gaps, top, seg_end)
+        for n0, gaps, top, seg_end in _kept_stream[key]:
+            yield GapBlock(n0, gaps.astype(np.uint16), top, seg_end)
         return
     kept = [] if fresh and index_limit <= _KEPT_STREAM_GAPS else None
     last = init_last
@@ -452,10 +434,10 @@ def gap_blocks(
         if done:
             gaps = gaps[: index_limit - n + 1]
             top = last + int(gaps.sum(dtype=np.int64))
-        if kept is not None and gaps.max(initial=0) > 0x1FF:
-            kept = None  # d/2 of this gap does not fit a byte: keep nothing
+        if kept is not None and gaps.max(initial=0) > 0xFF:
+            kept = None  # this gap does not fit a byte: keep nothing
         if kept is not None:
-            kept.append((n, (gaps >> 1).astype(np.uint8), top, seg_end))
+            kept.append((n, gaps.astype(np.uint8), top, seg_end))
         yield GapBlock(n, gaps, top, seg_end)
         if done:
             if kept is not None:

@@ -7,10 +7,11 @@ bincount the blocks: each value is the sum of fl(f(d)) * N(d) over the
 bins the weight takes (all but d = 1 for alpha < 0), computed exactly and
 rounded once, which is the correctly rounded sum of the per-gap floats
 and does not depend on segment size, worker count or a resume.  The
-Erdos-Nathanson series depends on n, so it is folded gap by gap with
-compensated (Neumaier) summation in segment order: bit-identical for any
-worker count and across a resume, while the segment size may move its
-last bit.
+Erdos-Nathanson series depends on n, so it is summed in fixed chunks of
+2^16 consecutive n from n = 0 (n < 3 as zero terms), one ``np.sum`` each,
+the chunk sums folded in order with compensated (Neumaier) summation; a
+snapshot adds the open chunk's prefix to a copy of the pair.  So its
+values depend only on the float terms (Demmel & Nguyen, IEEE TC 64, 2015).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import engine
-from .errors import UnsupportedExponentError, ValidationError
+from .errors import PrecisionError, UnsupportedExponentError, ValidationError
 
 
 class RunInterrupted(Exception):
@@ -110,8 +111,9 @@ def default_snapshot_grid(limit: int) -> list[int]:
 
 @dataclass
 class AccumulatorState:
-    """A sum's resumable state after a segment: restart point, Neumaier pair
-    and term count (streamed sums), gap histogram (weighted sums), snapshots."""
+    """A sum's resumable state: restart point, term count and snapshots, with
+    the gap histogram (weighted sums, after a segment) or the Neumaier pair
+    (the series, at its last chunk boundary)."""
 
     next_lo: int = 3
     last_prime: int = 2
@@ -127,7 +129,8 @@ def _pending_grid(grid: Sequence[int] | None, limit: int, done: list[SumSnapshot
     """The snapshot limits (default: the geometric grid) and ``limit``, past ``done``."""
     floor = done[-1].limit_reached if done else -math.inf
     grid = default_snapshot_grid(limit) if grid is None else grid
-    return sorted({int(g) for g in [*grid, limit] if floor < g <= limit})
+    grid = [engine._check_limit(g, 1, "snapshot limit") for g in grid]
+    return sorted({g for g in [*grid, limit] if floor < g <= limit})
 
 
 def _segments(state: AccumulatorState, stop_after_segments: int | None, **limits):
@@ -164,10 +167,14 @@ def _closing_cuts(block: engine.GapBlock, cuts: list[int], mode: str) -> list[tu
     return list(zip(closing, positions))
 
 
+@np.errstate(over="ignore")  # an overflowing weight raises PrecisionError below
 def _exact_sum(weight: WeightSpec, counts: dict[int, int]) -> float:
     """The sum of fl(f(d)) * N(d) over the bins, computed exactly and rounded once."""
     bins = np.array(list(counts), dtype=np.int64)
-    terms = zip(bins.tolist(), weight.evaluate(bins).tolist())
+    weights = weight.evaluate(bins)
+    if not np.isfinite(weights).all():
+        raise PrecisionError(f"a gap weight with alpha = {weight.alpha} is not finite in float64")
+    terms = zip(bins.tolist(), weights.tolist())
     return float(sum((Fraction(w) * counts[d] for d, w in terms), Fraction(0)))
 
 
@@ -237,6 +244,20 @@ def en_heuristic_tail(index_limit: int, c: float) -> float:
     return math.log(math.log(index_limit)) ** (1.0 - c) / (2.0 * (c - 1.0))
 
 
+# The series is summed in chunks of this many consecutive n (module docstring).
+_CHUNK = 1 << 16
+
+
+def _neumaier(pair: tuple[float, float], x: float) -> tuple[float, float]:
+    """The compensated pair (sum, carry) after one Neumaier step adding ``x``."""
+    if not math.isfinite(x):
+        raise PrecisionError(f"an Erdos-Nathanson term is not finite in float64 (a sum read {x})")
+    s, comp = pair
+    t = s + x
+    return t, comp + ((s - t) + x if abs(s) >= abs(x) else (x - t) + s)
+
+
+@np.errstate(divide="ignore", over="ignore")  # a term that is not finite raises PrecisionError
 def erdos_nathanson_series(
     index_limit: int,
     c: float,
@@ -250,9 +271,10 @@ def erdos_nathanson_series(
 ) -> list[SumSnapshot]:
     """Snapshots of sum_{3 <= n <= N} 1 / (d_n n (loglog n)^c).
 
-    Folded gap by gap with Neumaier steps (module docstring), so the
-    snapshot grid takes part in the grouping.  Snapshots, ``resume`` and
-    ``on_segment`` work as in ``weighted_gap_sum_series``.
+    Summed in fixed n-chunks (module docstring).  Snapshots and ``resume``
+    work as in ``weighted_gap_sum_series``; ``on_segment`` gets, after every
+    segment, the state at the last chunk boundary passed, n = kC, which
+    restarts the stream from p_kC and holds the snapshots below kC.
     """
     index_limit = engine._check_limit(index_limit, 3, "index_limit")
     c = float(c)
@@ -261,35 +283,32 @@ def erdos_nathanson_series(
     state = resume or AccumulatorState()
     snaps = list(state.snapshots)
     cuts = _pending_grid(snapshot_limits, index_limit, snaps)
-    s, comp, terms = state.kahan_s, state.kahan_c, state.terms
-
-    def add(x: float) -> None:  # one Neumaier step
-        nonlocal s, comp
-        t = s + x
-        comp += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
-        s = t
-
+    pair, restart = (state.kahan_s, state.kahan_c), state
+    chunk = np.zeros(_CHUNK)  # the open chunk's terms; those of n = 0, 1, 2 stay 0.0
     for block in _segments(state, stop_after_segments, index_limit=index_limit,
                            workers=workers, segment_slots=segment_slots):
-        n0 = max(block.n0, 3)
-        n = np.arange(n0, block.n0 + len(block.gaps), dtype=np.float64)
-        w = block.gaps[n0 - block.n0 :] * n
-        w = 1.0 / w if c == 0 else 1.0 / (w * np.log(np.log(n)) ** c)
-        prev = 0
-        for cut, pos in _closing_cuts(block, cuts, "index"):
-            pos = max(0, pos - (n0 - block.n0))
-            add(float(np.sum(w[prev:pos])))
-            terms += pos - prev
-            snaps.append(SumSnapshot("index", cut, s + comp, terms, comp))
-            prev = pos
-        add(float(np.sum(w[prev:])))
-        terms += len(w) - prev
+        n, end, closed = block.n0, block.n0 + len(block.gaps), None
+        while n < end:  # one piece per chunk the block reaches into
+            top = min(end, n - n % _CHUNK + _CHUNK)
+            k = np.arange(max(n, 3), top, dtype=np.float64)
+            w = block.gaps[top - len(k) - block.n0 : top - block.n0] * k
+            if c != 0:
+                w *= np.log(np.log(k)) ** c
+            np.divide(1.0, w, out=chunk[(top - len(k)) % _CHUNK :][: len(k)])
+            while cuts and cuts[0] < top:
+                cut = cuts.pop(0)
+                s, comp = _neumaier(pair, float(np.sum(chunk[: cut % _CHUNK + 1])))
+                snaps.append(SumSnapshot("index", cut, s + comp, max(cut - 2, 0), comp))
+            if top % _CHUNK == 0:
+                pair, closed = _neumaier(pair, float(np.sum(chunk))), top
+            n = top
         if on_segment is not None:
-            on_segment(AccumulatorState(
-                block.seg_end, block.last_prime, block.n0 + len(block.gaps),
-                s, comp, terms, snapshots=list(snaps),
-            ))
-        block = n = w = None  # free them before the next segment is sieved
+            if closed is not None:
+                p = block.last_prime - int(block.gaps[closed - block.n0 :].sum(dtype=np.int64))
+                restart = AccumulatorState(p + 2, p, closed, *pair, closed - 3, snapshots=[
+                    s for s in snaps if s.limit_reached < closed])
+            on_segment(restart)
+        block = k = w = None  # free them before the next segment is sieved
     return snaps
 
 

@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from gapsum import checkpoint
+from gapsum import checkpoint, cli
 from gapsum.errors import CheckpointError
 from gapsum.sums import AccumulatorState, SumSnapshot
 
@@ -79,3 +79,16 @@ def test_version_1_record_refused():
     assert len(raw) == 88
     with pytest.raises(CheckpointError, match="unsupported checkpoint version 1 "):
         checkpoint.unpack(raw)
+
+
+def test_version_2_record_refused(tmp_path, monkeypatch, capsys):
+    # version 2 held the series' state at a segment boundary, not at a chunk boundary
+    ck = checkpoint.Checkpoint("index", 10**5, make_state(), checkpoint.config_digest({}))
+    head = ck.pack()[:-8].replace(b'{"version":3,', b'{"version":2,')
+    (tmp_path / "v2.ckpt").write_bytes(head + hashlib.sha256(head).digest()[:8])
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 2 "):
+        checkpoint.load(str(tmp_path / "v2.ckpt"))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["en-sum", "--limit", "1e5", "--c", "2", "--resume", "v2.ckpt"]) == 1
+    assert "version 2" in capsys.readouterr().err
+    assert not (tmp_path / "gapsum-en-sum.csv").exists()

@@ -324,19 +324,40 @@ def test_resume_with_other_alpha_refused(tmp_path, monkeypatch):
     assert code == 1
 
 
-def test_index_resume_on_another_segment_grid_refused(tmp_path, monkeypatch):
-    # index 5e8 sieves to about 1.15e10, past 2^33, so its segments have 2^21 slots
-    base = ["en-sum", "--limit", "5e8", "--c", "0", "--workers", "1",
-            "--stop-after-segments", "1"]
+def test_resume_on_another_segment_size_writes_the_same_report(tmp_path, monkeypatch):
+    # 500 segments of 2048 integers pass n = 2^16 (p_65536 = 821,641), so the
+    # series restarts from there, on a grid of 8192 integers
+    base = ["en-sum", "--limit", "2e5", "--c", "3", "--workers", "1"]
+    assert run_cli(base + ["--output", "full.csv"], tmp_path, monkeypatch) == 0
+    assert run_cli(base + ["--segment-size", "1024", "--checkpoint-dir", "ck",
+                           "--stop-after-segments", "500"], tmp_path, monkeypatch) == 0
+    ckpt = tmp_path / "ck" / "gapsum-en-sum.ckpt"
+    assert checkpoint.load(str(ckpt)).state.next_n == 1 << 16
+    assert run_cli(base + ["--segment-size", "4096", "--resume", str(ckpt),
+                           "--output", "resumed.csv"], tmp_path, monkeypatch) == 0
+    assert read_csv(tmp_path / "resumed.csv")[1] == read_csv(tmp_path / "full.csv")[1]
 
-    def run(ckpt_dir, *extra):
-        return run_cli(base + ["--checkpoint-dir", ckpt_dir, *extra], tmp_path, monkeypatch)
 
-    assert run("default") == 0
-    assert run("again", "--resume", "default/gapsum-en-sum.ckpt",
-               "--segment-size", "1048576") == 1
-    assert run("explicit", "--segment-size", "2097152") == 0
-    assert run("again", "--resume", "explicit/gapsum-en-sum.ckpt") == 0
+@pytest.mark.parametrize("grid", ["-5,0,100", "0", "100.9"])
+def test_snapshot_grid_below_one_or_fractional_refused(grid, tmp_path, monkeypatch):
+    # a cut at -5 or 0 once counted the gaps before it twice: 411.94 over
+    # 1,995 terms against 206.31 over 1,000
+    for command in (["weighted-sum", "--mode", "index"], ["en-sum", "--c", "0"]):
+        argv = [*command, "--limit", "1000", f"--snapshot-grid={grid}", "--output", "out.csv"]
+        assert run_cli(argv, tmp_path, monkeypatch) == 1
+        assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["weighted-sum", "--limit", "100", "--alpha", "1000"],
+    ["weighted-sum", "--limit", "100", "--alpha", "1000", "--mode", "index"],
+    ["en-sum", "--limit", "100", "--c", "1000"],
+    ["en-sum", "--limit", "1e4", "--c", "-2000"],
+])
+def test_terms_not_finite_in_float64_exit_2(argv, tmp_path, monkeypatch, capsys):
+    assert run_cli(argv + ["--output", "out.csv"], tmp_path, monkeypatch) == 2
+    assert "not finite in float64" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_resume_with_other_worker_count_allowed(tmp_path, monkeypatch):

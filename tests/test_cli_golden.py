@@ -3,11 +3,14 @@
 Each case runs its command lines with ``--workers 1`` in an empty working
 directory, then compares every file left there, and the captured stdout
 with run times masked, byte for byte against ``tests/golden/<case>/``.
-The checkpoint cases keep the file written after one 1024-slot segment,
-so a change to the checkpoint format or its configuration digest shows.
+The checkpoint cases keep the file written at a stop after 1024-slot
+segments (for ``en-sum``, 500 of them, past its first chunk boundary at
+n = 2^16), so a change to the checkpoint format or its configuration
+digest shows.
 
-After an intended output change, re-record with
-``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
+After an intended output change, re-record the cases it touches with
+``PYTHONPATH=src python tests/test_cli_golden.py CASE [CASE ...]`` (every
+case when none is named) and review the diff.
 """
 
 import contextlib
@@ -42,7 +45,7 @@ CASES = {
     ],
     "en-sum": [["en-sum", "--limit", "1e4", "--c", "3", "--output", "out.csv"]],
     "en-sum-checkpoint": [
-        ["en-sum", "--limit", "1e5", "--c", "2", *_CKPT, "--stop-after-segments", "1"],
+        ["en-sum", "--limit", "1e5", "--c", "2", *_CKPT, "--stop-after-segments", "500"],
         ["en-sum", "--limit", "1e5", "--c", "2", "--segment-size", "1024",
          "--resume", "ck/gapsum-en-sum.ckpt", "--output", "out.csv"],
     ],
@@ -118,14 +121,18 @@ def test_golden_output(name, tmp_path, monkeypatch):
         assert got[path] == data, f"{name}/{path} differs from the golden file"
 
 
-def _record() -> None:
+def _record(names: list[str]) -> None:
+    """Re-record the named cases, or every case when none is named."""
     import tempfile
 
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown case(s): {', '.join(unknown)}")
     os.environ.pop("GAPSUM_WORKERS", None)
-    shutil.rmtree(GOLDEN, ignore_errors=True)
-    for name in sorted(CASES):
+    for name in names or sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             files = run_case(name, pathlib.Path(tmp))
+        shutil.rmtree(GOLDEN / name, ignore_errors=True)
         for path, data in files.items():
             target = GOLDEN / name / path
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -134,4 +141,4 @@ def _record() -> None:
 
 
 if __name__ == "__main__":
-    _record()
+    _record(sys.argv[1:])

@@ -515,12 +515,15 @@ def test_theorem1_between_corollaries_keeps_the_stream(monkeypatch):
     assert [limit for _, limit in calls] == [engine._sieve_limit(None, 20_000)[0], 20_000]
 
 
-def test_pass_segment_slots_follow_the_sieve_bound():
+def test_index_pass_segments_follow_the_sieve_bound():
     # index 5e8 sieves to about 1.15e10, past 2^33, where segments double
     assert engine.effective_segment_slots(5 * 10**8) == 1 << 20
-    assert engine.pass_segment_slots(index_limit=5 * 10**8) == 1 << 21
-    assert engine.pass_segment_slots(prime_limit=5 * 10**8) == 1 << 20
-    assert engine.pass_segment_slots(index_limit=5 * 10**8, segment_slots=1 << 10) == 1 << 10
+    for limits, slots in (({"index_limit": 5 * 10**8}, 1 << 21),
+                          ({"index_limit": 5 * 10**8, "segment_slots": 1 << 18}, 1 << 18),
+                          ({"prime_limit": 5 * 10**8}, 1 << 20)):
+        blocks = engine.gap_blocks(**limits, workers=1)
+        assert next(blocks).seg_end == 3 + 2 * slots, limits
+        blocks.close()
 
 
 def _record_task(task):

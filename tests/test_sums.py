@@ -9,6 +9,7 @@ import oracles
 from gapsum import engine, singular, sums, verify
 from gapsum.errors import (
     EmptyDomainError,
+    PrecisionError,
     UnsupportedExponentError,
     ValidationError,
 )
@@ -228,20 +229,24 @@ def test_resume_reproduces_bits(alpha):
 
 
 def test_resume_reproduces_bits_index_mode():
-    kwargs = dict(snapshot_limits=[10**3, 10**4], segment_slots=1 << 13)
+    # 60 segments of 2^14 integers reach n ~ 77,000, past the series' first
+    # chunk boundary at n = 2^16 (p_65536 = 821,641), where its state restarts
+    kwargs = dict(snapshot_limits=[10**4, 9 * 10**4], segment_slots=1 << 13)
     full = sums.erdos_nathanson_series(100_000, 3.0, **kwargs)
     states = []
     with pytest.raises(sums.RunInterrupted):
         sums.erdos_nathanson_series(
-            100_000, 3.0, **kwargs, on_segment=states.append, stop_after_segments=5
+            100_000, 3.0, **kwargs, on_segment=states.append, stop_after_segments=60
         )
+    assert (states[-1].next_n, states[-1].last_prime, states[-1].next_lo) == (
+        1 << 16, 821_641, 821_643)
     resumed = sums.erdos_nathanson_series(100_000, 3.0, **kwargs, resume=states[-1])
     assert len(states[-1].snapshots) == 1  # the stop falls between the snapshots
     assert resumed == full
     with pytest.raises(sums.RunInterrupted):
         sums.weighted_gap_sum_series(
             WeightSpec(0.0), index_limit=100_000, **kwargs, on_segment=states.append,
-            stop_after_segments=5,
+            stop_after_segments=60,
         )
     resumed = sums.weighted_gap_sum_series(
         WeightSpec(0.0), index_limit=100_000, **kwargs, resume=states[-1]
@@ -285,26 +290,72 @@ def test_replayed_series_sees_the_same_segments():
 
 
 def test_stopped_and_resumed_series_keep_nothing():
+    # 450 segments reach n ~ 73,000, so the state restarts at n = 2^16, not
+    # from scratch (a from-scratch pass would be kept)
     states = []
     with pytest.raises(sums.RunInterrupted):
-        sums.erdos_nathanson_series(20_000, 3.0, **_COROLLARY, on_segment=states.append,
-                                    stop_after_segments=5)
+        sums.erdos_nathanson_series(100_000, 3.0, **_COROLLARY, on_segment=states.append,
+                                    stop_after_segments=450)
     assert not engine._kept_stream
-    resumed = sums.erdos_nathanson_series(20_000, 3.0, **_COROLLARY, resume=states[-1])
+    resumed = sums.erdos_nathanson_series(100_000, 3.0, **_COROLLARY, resume=states[-1])
     assert not engine._kept_stream
-    assert resumed == sums.erdos_nathanson_series(20_000, 3.0, **_COROLLARY)
+    assert resumed == sums.erdos_nathanson_series(100_000, 3.0, **_COROLLARY)
     assert engine._kept_stream  # the run from scratch is kept
 
 
 def test_float_results_stable_across_segment_sizes():
-    # weighted sums are read from the exact histogram, so the segment
-    # size cannot move a bit in either mode
-    for limits in ({"prime_limit": 500_000}, {"index_limit": 40_000}):
-        runs = [
-            sums.weighted_gap_sum_series(WeightSpec(0.0), **limits, segment_slots=slots)
-            for slots in (1 << 12, 1 << 15, 1 << 18)
-        ]
-        assert runs[1] == runs[0] and runs[2] == runs[0], limits
+    # weighted sums are read from the exact histogram, and the series is
+    # summed in fixed n-chunks, so neither segment size nor workers move a bit
+    runs = {
+        "prime": lambda **kw: sums.weighted_gap_sum_series(WeightSpec(0.0), prime_limit=500_000,
+                                                           **kw),
+        "index": lambda **kw: sums.weighted_gap_sum_series(WeightSpec(0.0), index_limit=40_000,
+                                                           **kw),
+        "series": lambda **kw: sums.erdos_nathanson_series(200_000, 3.0, **kw),
+    }
+    for name, series in runs.items():
+        got = [series(segment_slots=slots, workers=workers)
+               for slots, workers in ((1 << 10, 1), (1 << 12, 2), (1 << 15, 1), (1 << 18, 2))]
+        assert all(run == got[0] for run in got), name
+
+
+def test_series_chunks_align_to_n():
+    # The first chunk holds n = 0 .. 2^16 - 1, with n = 0, 1, 2 as zero
+    # terms, so N = 2^16 - 1 closes it with each term from n = 3 counted
+    # once, and N = 2^16 and 2^16 + 1 read the next chunk's prefix
+    top = sums._CHUNK + 1
+    gaps = oracles.gap_list(oracles.primes_upto(821_651))  # p_(2^16 + 2) = 821,651
+    cuts = [top - 2, top - 1, top]
+    for c in (0.0, 3.0):
+        terms = [1.0 / (d * n * math.log(math.log(n)) ** c)
+                 for n, d in enumerate(gaps[:top], start=1) if n >= 3]
+        series = sums.erdos_nathanson_series(top, c, snapshot_limits=cuts, workers=1,
+                                             segment_slots=1 << 10)
+        for cut, snap in zip(cuts, series, strict=True):
+            exact = math.fsum(terms[: cut - 2])
+            assert snap.terms == cut - 2
+            # c = 0 terms are correctly rounded in both, so only the sum rounds
+            tolerance = 2 * math.ulp(exact) if c == 0 else 1e-13 * exact
+            assert abs(snap.value - exact) <= tolerance, (c, cut)
+            assert snap == sums.erdos_nathanson_sum(cut, c, snapshot_limits=[])
+
+
+def test_snapshot_limits_must_be_positive_integers():
+    # a cut at -5 or 0 once counted the gaps before it twice
+    for grid in ([-5, 0, 100], [0], [100.9]):
+        with pytest.raises(ValidationError):
+            sums.weighted_gap_sum_series(WeightSpec(0.0), index_limit=1000, snapshot_limits=grid)
+        with pytest.raises(ValidationError):
+            sums.erdos_nathanson_series(1000, 0.0, snapshot_limits=grid)
+
+
+def test_terms_not_finite_in_float64_refused():
+    for limits in ({"prime_limit": 100}, {"index_limit": 100}):
+        with pytest.raises(PrecisionError):
+            sums.weighted_gap_sum(WeightSpec(1000.0), **limits)
+    for limit, c in ((100, 1000.0), (10_000, -2000.0)):
+        with pytest.raises(PrecisionError):
+            sums.erdos_nathanson_series(limit, c)
 
 
 # ---------------------------------------------------------------------------
