@@ -111,9 +111,8 @@ def default_snapshot_grid(limit: int) -> list[int]:
 
 @dataclass
 class AccumulatorState:
-    """A sum's resumable state: restart point, term count and snapshots, with
-    the gap histogram (weighted sums, after a segment) or the Neumaier pair
-    (the series, at its last chunk boundary)."""
+    """A sum's resumable state: restart point, term count, snapshots, and the
+    gap histogram (weighted sums) or the Neumaier pair (the series)."""
 
     next_lo: int = 3
     last_prime: int = 2
@@ -289,12 +288,12 @@ def erdos_nathanson_series(
                            workers=workers, segment_slots=segment_slots):
         n, end, closed = block.n0, block.n0 + len(block.gaps), None
         while n < end:  # one piece per chunk the block reaches into
-            top = min(end, n - n % _CHUNK + _CHUNK)
-            k = np.arange(max(n, 3), top, dtype=np.float64)
-            w = block.gaps[top - len(k) - block.n0 : top - block.n0] * k
+            lo, top = max(n, 3), min(end, n - n % _CHUNK + _CHUNK)
+            k = np.arange(lo, top, dtype=np.float64)
+            w = block.gaps[lo - block.n0 : top - block.n0] * k
             if c != 0:
                 w *= np.log(np.log(k)) ** c
-            np.divide(1.0, w, out=chunk[(top - len(k)) % _CHUNK :][: len(k)])
+            np.divide(1.0, w, out=chunk[lo % _CHUNK :][: len(k)])
             while cuts and cuts[0] < top:
                 cut = cuts.pop(0)
                 s, comp = _neumaier(pair, float(np.sum(chunk[: cut % _CHUNK + 1])))

@@ -338,6 +338,8 @@ def test_series_chunks_align_to_n():
             tolerance = 2 * math.ulp(exact) if c == 0 else 1e-13 * exact
             assert abs(snap.value - exact) <= tolerance, (c, cut)
             assert snap == sums.erdos_nathanson_sum(cut, c, snapshot_limits=[])
+        if c == 0:  # the first chunk is one np.sum over n = 0 .. 2^16 - 1
+            assert series[0].value == float(np.sum([0.0] * 3 + terms[: top - 4]))
 
 
 def test_snapshot_limits_must_be_positive_integers():
