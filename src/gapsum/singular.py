@@ -16,9 +16,9 @@ Values are therefore assembled as
     dividing a pairwise difference.
 
 The infinite generic product is evaluated once per k to ~1e-13 certified
-relative error (direct product to Q, then a prime-zeta tail expansion)
-and cached; every downstream value inherits that single audited error
-source.
+relative error (direct product to Q, then a tail expansion in the prime
+zeta function P(s), taken from ``mpmath.primezeta``) and cached; every
+downstream value inherits that single audited error source.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import mp
 
 from . import engine
 from .errors import CapacityError, PrecisionError, ValidationError
@@ -40,8 +40,9 @@ from .errors import CapacityError, PrecisionError, ValidationError
 _CONSTANT_CUTOFF = 100_000
 
 # Relative error claimed for the cached constants.  The true arithmetic
-# error (exactly-rounded log sums, dps-30 prime zeta, one exp) is below
-# 1e-15; the claim keeps two orders of margin.
+# error (exactly-rounded log sums, P(s) from mpmath at 30 digits, which
+# holds full float64 accuracy at every s, and one exp) is below 1e-15;
+# the claim keeps two orders of margin.
 _CONSTANT_REL_ERROR = 1e-13
 
 # Certified relative error below which float64 results are not issued.
@@ -188,39 +189,13 @@ def _brent_factor(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Cached generic products and the prime zeta tail
 
-def _moebius(n: int) -> int:
-    if n == 1:
-        return 1
-    result = 1
-    for p in _distinct_prime_factors(n):
-        m = n
-        count = 0
-        while m % p == 0:
-            m //= p
-            count += 1
-        if count > 1:
-            return 0
-        result = -result
-    return result
-
-
 @lru_cache(maxsize=64)
 def _prime_zeta(s: int) -> float:
-    """P(s) = sum_p p^(-s), via the Moebius inversion of log zeta."""
+    """P(s) = sum_p p^(-s), from ``mpmath.primezeta`` at 30 digits."""
     if s < 2:
         raise ValidationError("prime zeta is evaluated for integer s >= 2 only")
     with mp.workdps(30):
-        total = mpf(0)
-        j = 1
-        while True:
-            log_z = mp.log(mp.zeta(j * s))
-            mu = _moebius(j)
-            if mu:
-                total += mpf(mu) / j * log_z
-            if abs(log_z) < mpf(10) ** -35:
-                break
-            j += 1
-        return float(total)
+        return float(mp.primezeta(s))
 
 
 @lru_cache(maxsize=1)

@@ -124,12 +124,22 @@ class AccumulatorState:
     snapshots: list[SumSnapshot] = field(default_factory=list)
 
 
-def _pending_grid(grid: Sequence[int] | None, limit: int, done: list[SumSnapshot]) -> list[int]:
-    """The snapshot limits (default: the geometric grid) and ``limit``, past ``done``."""
+def _pending_grid(grid: Sequence[int] | None, limit: int, done: list[SumSnapshot],
+                  restart: int) -> list[int]:
+    """The snapshot limits (default: the geometric grid) and ``limit``, past ``done``.
+
+    ``restart`` is where a resumed state picks the stream up (0 for a fresh
+    run).  The terms below it are already summed, so a limit below it must
+    be one of the snapshots in ``done``.
+    """
     floor = done[-1].limit_reached if done else -math.inf
     grid = default_snapshot_grid(limit) if grid is None else grid
-    grid = [engine._check_limit(g, 1, "snapshot limit") for g in grid]
-    return sorted({g for g in [*grid, limit] if floor < g <= limit})
+    limits = {*(engine._check_limit(g, 1, "snapshot limit") for g in grid), limit}
+    missed = sorted({g for g in limits if g < restart} - {s.limit_reached for s in done})
+    if missed:
+        raise ValidationError(f"snapshot limits {missed} lie below the resumed state's restart "
+                              f"point {restart} and are not among its snapshots")
+    return sorted(g for g in limits if floor < g <= limit)
 
 
 def _segments(state: AccumulatorState, stop_after_segments: int | None, **limits):
@@ -195,7 +205,8 @@ def weighted_gap_sum_series(
     n <= limit.  Snapshots fall at each snapshot limit (default: the 10^k,
     3*10^k grid; [] for the final one only) and at the run limit.
     ``on_segment`` gets the resumable state after every segment; ``resume``
-    restarts from one, with the snapshots it carries.
+    restarts from one, with the snapshots it carries (a limit below its
+    restart point must be one of them).
     """
     if not isinstance(weight, WeightSpec):
         raise ValidationError("weight must be a WeightSpec")
@@ -203,7 +214,8 @@ def weighted_gap_sum_series(
     mode, limit = ("prime", sieve_limit) if index_limit is None else ("index", index_limit)
     state = resume or AccumulatorState()
     snaps = list(state.snapshots)
-    cuts = _pending_grid(snapshot_limits, limit, snaps)
+    restart = 0 if resume is None else state.next_n if mode == "index" else state.next_lo
+    cuts = _pending_grid(snapshot_limits, limit, snaps, restart)
     hist = Counter(state.counts)
     for block in _segments(state, stop_after_segments, **{f"{mode}_limit": limit},
                            workers=workers, segment_slots=segment_slots):
@@ -281,7 +293,7 @@ def erdos_nathanson_series(
         raise ValidationError(f"c must be finite, got {c}")
     state = resume or AccumulatorState()
     snaps = list(state.snapshots)
-    cuts = _pending_grid(snapshot_limits, index_limit, snaps)
+    cuts = _pending_grid(snapshot_limits, index_limit, snaps, 0 if resume is None else state.next_n)
     pair, restart = (state.kahan_s, state.kahan_c), state
     chunk = np.zeros(_CHUNK)  # the open chunk's terms; those of n = 0, 1, 2 stay 0.0
     for block in _segments(state, stop_after_segments, index_limit=index_limit,

@@ -296,8 +296,8 @@ def theorem1_ratio(
             f"high={format_float(split.high)};y={format_float(split.threshold_y)}"
         )
     elif mode == "index":
-        empirical = sums.weighted_gap_sum(weight, index_limit=x, workers=workers,
-                                          segment_slots=segment_slots).value
+        empirical = sums.weighted_gap_sum(weight, index_limit=x, snapshot_limits=[],
+                                          workers=workers, segment_slots=segment_slots).value
     else:
         raise ValidationError(f"mode must be 'prime' or 'index', got {mode!r}")
     predicted = main_term_theorem1(x, alpha, mode)

@@ -74,6 +74,35 @@ def test_residue_count_accepts_large_prime_modulus():
 
 
 # ---------------------------------------------------------------------------
+# Prime zeta and the cached generic products
+
+def test_prime_zeta_matches_mpmath_at_50_digits():
+    with mpmath.workdps(50):
+        for s in range(2, 81):
+            exact = mpmath.primezeta(s)
+            assert abs(singular._prime_zeta(s) - exact) <= 2e-16 * exact, s
+    with pytest.raises(ValidationError):
+        singular._prime_zeta(1)
+
+
+# (k, cutoff) -> (value, abs_error): the products the package evaluates, and
+# the smallest cutoff the tail expansion admits
+GENERIC_PRODUCTS = {
+    (2, 10**4): (0.6601618158468696, 6.601620887137127e-14),
+    (2, 10**5): (0.6601618158468696, 6.601620138954142e-14),
+    (3, 10**5): (0.6351663546042714, 6.351678790035209e-14),
+    (4, 10**5): (0.30749487875832715, 3.0749801520608735e-14),
+    (2, 20): (0.6601618158468695, 6.601696517400228e-14),
+}
+
+
+def test_generic_products_pinned():
+    for (k, cutoff), pinned in GENERIC_PRODUCTS.items():
+        assert singular._generic_product(k, cutoff) == pinned
+    assert singular._c2().value == 0.6601618158468696
+
+
+# ---------------------------------------------------------------------------
 # Twin prime constant
 
 def test_twin_constant_accelerated_matches_reference():

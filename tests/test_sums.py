@@ -303,6 +303,36 @@ def test_stopped_and_resumed_series_keep_nothing():
     assert engine._kept_stream  # the run from scratch is kept
 
 
+# Each run, stopped after the given number of segments, restarts from
+# n = 65,536 (index mode; the series at its chunk boundary) or p = 491,523.
+_STOPPED_RUNS = {
+    "series": (lambda **kw: sums.erdos_nathanson_series(100_000, 0.0, **kw), 1 << 10, 450),
+    "weighted-index": (lambda **kw: sums.weighted_gap_sum_series(
+        WeightSpec(0.0), index_limit=100_000, **kw), 1 << 10, 450),
+    "weighted-prime": (lambda **kw: sums.weighted_gap_sum_series(
+        WeightSpec(0.0), prime_limit=10**6, **kw), 1 << 13, 30),
+}
+
+
+@pytest.mark.parametrize("run", list(_STOPPED_RUNS))
+def test_resume_refuses_a_limit_below_its_restart_point(run):
+    series, slots, stop = _STOPPED_RUNS[run]
+    kwargs = dict(workers=1, segment_slots=slots)
+    states = []
+    with pytest.raises(sums.RunInterrupted):
+        series(snapshot_limits=[10**4], **kwargs, on_segment=states.append,
+               stop_after_segments=stop)
+    state = states[-1]
+    assert (state.next_lo if run == "weighted-prime" else state.next_n) > 10**4
+    # 1000 was never taken: the state already sums the terms past it
+    for grid in ([1000], [1000, 10**4], [10**4, 20_000]):
+        with pytest.raises(ValidationError, match="below the resumed state's restart point"):
+            series(snapshot_limits=grid, **kwargs, resume=state)
+    # a limit the state holds is re-emitted as taken
+    resumed = series(snapshot_limits=[10**4], **kwargs, resume=state)
+    assert resumed == series(snapshot_limits=[10**4], **kwargs)
+
+
 def test_float_results_stable_across_segment_sizes():
     # weighted sums are read from the exact histogram, and the series is
     # summed in fixed n-chunks, so neither segment size nor workers move a bit
