@@ -303,8 +303,8 @@ def test_stopped_and_resumed_series_keep_nothing():
     assert engine._kept_stream  # the run from scratch is kept
 
 
-# Each run, stopped after the given number of segments, restarts from
-# n = 65,536 (index mode; the series at its chunk boundary) or p = 491,523.
+# Each run, stopped after the given number of segments, restarts near
+# n = 73,000 (the series at its chunk boundary, n = 65,536) or p = 491,523.
 _STOPPED_RUNS = {
     "series": (lambda **kw: sums.erdos_nathanson_series(100_000, 0.0, **kw), 1 << 10, 450),
     "weighted-index": (lambda **kw: sums.weighted_gap_sum_series(
