@@ -9,9 +9,19 @@ gaps, counts) is identical for any worker count.  ``_sieve_mask`` is the
 one kernel, also for the base primes.  ``gap_blocks`` is the one fold over
 the uint16 gaps the gap worker sends, 2 bytes a prime, and ``prime_blocks``
 reads it; the tuple worker counts tuples, ``prime_count`` that of (0,).
-The gap worker reads its primes with ``_prime_slots``: past 2^28 it sieves
-a wheel tail behind the mask, so that numpy's ``nonzero`` stays on its
-dense path where primes fill at most 10% of the odd slots (X > e^20).
+
+Two steps of a segment run in C when they can: ``_segment.c``'s
+``cross_off`` clears the multiples of the base primes, those below 8192 one
+32 KiB block at a time, and its ``pack_gaps`` reads the gap worker's primes
+64 slots to a word.  ``_segment_lib`` compiles the file on first use and
+caches the library in ``__pycache__``; the wheel tile, the start offsets
+and everything after the gaps stay in numpy.  Where the library does not
+build or load, the numpy code does the same work with the same results,
+and the tests use it as the reference: a strided slice assignment per
+base prime, and ``_prime_slots``, which past 2^28 sieves a wheel tail
+behind the mask so that numpy's ``nonzero`` stays on its dense path where
+primes fill at most 10% of the odd slots (X > e^20), then ``_pack_gaps``.
+
 ``consecutive_gap_counts`` keeps its last eight histograms, each keyed by
 its pass, so a process sieves each such pass at most once while it is kept.
 The n-dependent sums need the gaps themselves, so ``gap_blocks`` keeps the
@@ -29,13 +39,21 @@ scale limit of 1e12 still fits comfortably in 64 bits.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
 import os
+import shlex
+import subprocess
+import sys
+import sysconfig
+import tempfile
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -45,14 +63,18 @@ from .errors import CapacityError, EmptyDomainError, ValidationError
 CAPACITY_LIMIT = 2**63 - 1
 
 # Default number of odd slots per segment, measured rather than sized to a
-# cache: each segment pays one Python-level slice assignment per base prime
-# (about sqrt(X)/log sqrt(X) of them), so a larger mask amortises that
-# dispatch until cache misses take over.  With one worker, pi(1e8) and
+# cache.  Each segment pays a fixed cost per base prime (about
+# sqrt(X)/log sqrt(X) of them): its start offset, and on the numpy path one
+# Python-level slice assignment.  A larger mask amortises that until cache
+# misses take over.  On the numpy path, with one worker, pi(1e8) and
 # pi(1e9) were fastest at 2^20 slots and pi(1e10) at 2^21 (2^22 and 2^23
 # were slower); per-segment timings near 1e11 and 1e12 kept improving up to
-# 2^23.  So 2^20 slots below 2^33, then one doubling per two octaves of
-# the limit (as the base-prime count doubles): 2^21 from 2^33, 2^22 from
-# 2^35, 2^23 from 2^37 on.  The figures are in BENCH_sieve_kernel.json.
+# 2^23 (BENCH_sieve_kernel.json).  The compiled kernel sweeps the small
+# primes in L1-sized blocks whatever the segment size, and a one-worker gap
+# pass to 1e9 took 0.39, 0.36, 0.36 and 0.41 s at 2^18 to 2^21 slots
+# (BENCH_compiled_kernel.json), so 2^20 stays.  So 2^20 slots below 2^33,
+# then one doubling per two octaves of the limit (as the base-prime count
+# doubles): 2^21 from 2^33, 2^22 from 2^35, 2^23 from 2^37 on.
 DEFAULT_SEGMENT_SLOTS = 1 << 20
 _MAX_SEGMENT_SLOTS = 1 << 23
 
@@ -106,6 +128,70 @@ def _odd_base_primes(limit: int) -> np.ndarray:
     return (np.flatnonzero(mask) << 1) + _FIRST_ODD
 
 
+# The compiled segment kernel: _segment.c, built on first use with the
+# compiler Python was built with, and cached beside this module's bytecode.
+_SEGMENT_SOURCE = Path(__file__).with_name("_segment.c")
+
+
+def _segment_library_path(command: Sequence[str]) -> Path:
+    """Where the library built from the current source by ``command`` is cached.
+
+    The name holds the SHA-256 of the source and the command, so another
+    interpreter finds the library without compiling, and an edit of the
+    source builds a new one.
+    """
+    digest = hashlib.sha256(_SEGMENT_SOURCE.read_bytes())
+    digest.update("\0".join(command).encode())
+    return _SEGMENT_SOURCE.parent / "__pycache__" / f"_segment-{digest.hexdigest()[:16]}.so"
+
+
+def _build_segment_library(command: Sequence[str], path: Path) -> None:
+    """Compile ``_segment.c`` to ``path`` through a temporary file, so no reader sees half a library."""
+    path.parent.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=path.parent)
+    os.close(fd)
+    try:
+        subprocess.run([*command, "-o", tmp, str(_SEGMENT_SOURCE)], check=True, capture_output=True,
+                       timeout=300)
+        os.chmod(tmp, 0o755)  # mkstemp's 0600 would keep other users of the checkout on numpy
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@lru_cache(maxsize=1)
+def _segment_lib() -> ctypes.CDLL | None:
+    """The compiled ``cross_off`` and ``pack_gaps``, or None for the numpy path.
+
+    numpy runs on a big-endian host (``pack_gaps`` reads eight mask bytes
+    as one word), and when sysconfig names no compiler or the build or the
+    load fails.  The outputs are the same either way.
+    """
+    cc = sysconfig.get_config_var("CC")
+    if sys.byteorder != "little" or not cc:
+        return None
+    command = [*shlex.split(cc), "-O2", "-shared", "-fPIC"]
+    try:
+        path = _segment_library_path(command)
+        if not path.exists():
+            _build_segment_library(command, path)
+        lib = ctypes.CDLL(str(path))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    mask = np.ctypeslib.ndpointer(np.bool_, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    int64s = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    out64s = np.ctypeslib.ndpointer(np.int64, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    lib.cross_off.argtypes = [mask, ctypes.c_int64, int64s, out64s, ctypes.c_int64]
+    lib.cross_off.restype = None
+    lib.pack_gaps.argtypes = [
+        np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS"), ctypes.c_int64,
+        np.ctypeslib.ndpointer(np.uint16, flags=("C_CONTIGUOUS", "WRITEABLE")), out64s,
+    ]
+    lib.pack_gaps.restype = ctypes.c_int64
+    return lib
+
+
 # Wheel pre-sieve: every segment mask starts as a copy of the odd numbers
 # prime to 3*5*7*11*13, so the cross-off loop starts at 17.  The pattern
 # repeats every 15,015 odd slots and is cached at that length.
@@ -146,8 +232,12 @@ def _sieve_mask(lo: int, hi: int, base: np.ndarray, tail: int = 0) -> np.ndarray
     offsets += (offsets & 1) * ps  # odd distance: that multiple is even
     offsets >>= 1
     np.maximum(offsets, (ps * ps - lo) >> 1, out=offsets)
-    for p, o in zip(ps.tolist(), offsets.tolist()):
-        mask[o::p] = False
+    lib = _segment_lib()
+    if lib is not None:
+        lib.cross_off(mask, len(mask), ps, offsets, len(ps))
+    else:
+        for p, o in zip(ps.tolist(), offsets.tolist()):
+            mask[o::p] = False
     return padded
 
 
@@ -179,10 +269,10 @@ def _prime_slots(padded: np.ndarray, n_slots: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Worker functions (top level so they pickle under multiprocessing)
 
-# The gap worker sieves a wheel tail of n/8 slots behind an n-slot mask
-# for _prime_slots, only past 2^28: below it more than 10.3% of the odd
-# slots are prime.  That tail keeps the read dense up to X ~ 2.8e13, where
-# 6.5% of them are.
+# On the numpy path the gap worker sieves a wheel tail of n/8 slots behind
+# an n-slot mask for _prime_slots, only past 2^28: below it more than 10.3%
+# of the odd slots are prime.  That tail keeps the read dense up to
+# X ~ 2.8e13, where 6.5% of them are.
 _TAIL_FROM = 1 << 28
 
 _WIDE_GAP = "a prime gap exceeds 65535, the width of the uint16 gap transfer"
@@ -191,11 +281,26 @@ _WIDE_GAP = "a prime gap exceeds 65535, the width of the uint16 gap transfer"
 def _worker_gaps(task: tuple[int, int, int]) -> tuple[int, int, np.ndarray] | None:
     """``_pack_gaps`` of the primes in [lo, hi), or None if there are none."""
     lo, hi, sqrt_cap = task
+    base = _odd_base_primes(sqrt_cap)
+    lib = _segment_lib()
+    if lib is not None:
+        return _scan_gaps(lib, lo, _sieve_mask(lo, hi, base))
     n_slots = (hi - lo + 1) // 2
     tail = n_slots // 8 if hi > _TAIL_FROM else 0
-    padded = _sieve_mask(lo, hi, _odd_base_primes(sqrt_cap), tail=tail)
-    slots = _prime_slots(padded, n_slots)
+    slots = _prime_slots(_sieve_mask(lo, hi, base, tail=tail), n_slots)
     return _pack_gaps(lo, slots) if len(slots) else None
+
+
+def _scan_gaps(lib: ctypes.CDLL, lo: int, mask: np.ndarray) -> tuple[int, int, np.ndarray] | None:
+    """``_pack_gaps(lo, np.flatnonzero(mask))`` by the compiled ``pack_gaps``, or None."""
+    gaps = np.empty(len(mask), dtype=np.uint16)
+    ends = np.empty(2, dtype=np.int64)
+    count = lib.pack_gaps(mask, len(mask), gaps, ends)
+    if count < 0:
+        raise CapacityError(_WIDE_GAP)
+    if not count:
+        return None
+    return lo + 2 * int(ends[0]), lo + 2 * int(ends[1]), gaps[:count].copy()
 
 
 def _pack_gaps(lo: int, slots: np.ndarray) -> tuple[int, int, np.ndarray]:
@@ -256,6 +361,7 @@ def _segment_map(worker, limit: int, *, workers: int | None, segment_slots: int 
     """
     if workers is None:
         workers = default_workers()
+    _segment_lib()  # load the kernel here, so that a forked pool inherits it
     span = 2 * effective_segment_slots(limit, segment_slots)
     sqrt_cap = math.isqrt(limit) + 1
     tasks = [(lo, min(lo + span, limit + 1), sqrt_cap, *extra)

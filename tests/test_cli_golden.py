@@ -20,10 +20,12 @@ import pathlib
 import re
 import shutil
 import sys
+import sysconfig
+import warnings
 
 import pytest
 
-from gapsum import cli
+from gapsum import cli, engine
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 STDOUT = "stdout.txt"
@@ -119,6 +121,33 @@ def test_golden_output(name, tmp_path, monkeypatch):
     assert sorted(got) == sorted(expected)
     for path, data in expected.items():
         assert got[path] == data, f"{name}/{path} differs from the golden file"
+
+
+@pytest.mark.parametrize("disable", ["loader", "compiler"])
+def test_golden_output_on_the_numpy_path(disable, tmp_path, monkeypatch):
+    # every case writes the same bytes, without a warning, when the compiled
+    # kernel does not load or the compiler sysconfig names does not exist
+    monkeypatch.delenv("GAPSUM_WORKERS", raising=False)
+    loader = engine._segment_lib
+    if disable == "loader":
+        monkeypatch.setattr(engine, "_segment_lib", lambda: None)
+    else:
+        config = sysconfig.get_config_var
+        missing = str(tmp_path / "no-such-cc")
+        monkeypatch.setattr(sysconfig, "get_config_var",
+                            lambda name: missing if name == "CC" else config(name))
+        loader.cache_clear()
+    try:
+        assert engine._segment_lib() is None
+        for name in sorted(CASES):
+            workdir = tmp_path / name
+            workdir.mkdir()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = run_case(name, workdir)
+            assert got == read_golden(name), name
+    finally:
+        loader.cache_clear()  # the next call loads the compiled kernel again
 
 
 def _record(names: list[str]) -> None:

@@ -1,8 +1,12 @@
 import bisect
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,6 +133,120 @@ def test_worker_gaps_past_the_sparse_crossover(x, slots, oracle_odd_primes_1e6):
     assert gaps[0] == 0 and gaps[1:].tolist() == (2 * np.diff(want)).tolist()
     packed = engine._pack_gaps(lo, want)
     assert packed[:2] == (first, last) and np.array_equal(packed[2], gaps)
+
+
+@pytest.fixture(scope="module")
+def segment_lib():
+    lib = engine._segment_lib()
+    if lib is None:
+        pytest.skip("the compiled segment kernel did not build or load on this host")
+    return lib
+
+
+def _same_gaps(got, want) -> bool:
+    if got is None or want is None:
+        return got is want
+    return got[:2] == want[:2] and got[2].dtype == want[2].dtype and np.array_equal(got[2], want[2])
+
+
+_ODD_PRIMES_BELOW_3000 = [p for p in oracles.primes_upto(3000) if p > 2]
+
+
+@settings(max_examples=150)
+@given(
+    lo=st.one_of(
+        st.integers(1, 8).map(lambda k: 2 * k + 1),  # lo <= 17: the wheel primes are in range
+        st.integers(1, 2_500_000_000).map(lambda k: 2 * k + 1),
+        # p^2 in or near the segment, for p on either side of the kernel's 8192 split
+        st.tuples(st.sampled_from(_ODD_PRIMES_BELOW_3000 + [8191, 8209, 9973]),
+                  st.integers(0, 40_000)).map(lambda pk: max(3, pk[0] ** 2 - 2 * pk[1])),
+        # inside the prime gap of 250 after 387,096,133: segments with no prime or one
+        st.integers(0, 124).map(lambda k: 387_096_135 + 2 * k),
+    ),
+    # spans off and on multiples of 64 slots, across the kernel's 32,768-slot blocks
+    slots=st.one_of(st.integers(1, 200), st.integers(1, 1_100).map(lambda k: 64 * k),
+                    st.integers(1, 70_000)),
+    extra=st.integers(0, 1),
+)
+def test_compiled_kernel_matches_numpy(segment_lib, oracle_primes_1e5, lo, slots, extra):
+    hi = lo + 2 * slots + extra
+    base = np.array(oracle_primes_1e5[1 : bisect.bisect_right(oracle_primes_1e5, math.isqrt(hi - 1))],
+                    np.int64)
+    task = (lo, hi, math.isqrt(hi) + 1)
+    got_mask, got_gaps = engine._sieve_mask(lo, hi, base), engine._worker_gaps(task)
+    with mock.patch.object(engine, "_segment_lib", lambda: None):  # as on a host without it
+        want_mask, want_gaps = engine._sieve_mask(lo, hi, base), engine._worker_gaps(task)
+    assert np.array_equal(got_mask, want_mask)
+    assert _same_gaps(got_gaps, want_gaps)
+    slots_set = engine._prime_slots(want_mask, len(want_mask))
+    want = engine._pack_gaps(lo, slots_set) if len(slots_set) else None
+    assert _same_gaps(engine._scan_gaps(segment_lib, lo, got_mask), want)
+
+
+@settings(max_examples=150)
+@given(
+    n_slots=st.one_of(st.integers(0, 200), st.integers(0, 70_000)),
+    # no set slot, one, a few far apart (gaps past 65535 among them) and a sieve's density
+    count=st.one_of(st.integers(0, 3), st.integers(0, 200), st.integers(0, 10_000)),
+    seed=st.integers(0, 2**32 - 1),
+    lo=st.integers(1, 10**12).map(lambda k: 2 * k + 1),
+)
+def test_compiled_gap_scan_matches_numpy(segment_lib, n_slots, count, seed, lo):
+    mask = np.zeros(n_slots, dtype=bool)
+    mask[np.random.default_rng(seed).choice(n_slots, min(count, n_slots), replace=False)] = True
+    slots = np.flatnonzero(mask)
+    try:
+        want = engine._pack_gaps(lo, slots) if len(slots) else None
+    except CapacityError:
+        with pytest.raises(CapacityError):
+            engine._scan_gaps(segment_lib, lo, mask)
+    else:
+        assert _same_gaps(engine._scan_gaps(segment_lib, lo, mask), want)
+
+
+def test_compiled_gap_wider_than_uint16_raises(segment_lib):
+    mask = np.zeros(40_000, dtype=bool)
+    mask[[5, 5 + 32_767]] = True  # the widest gap that fits: 65,534
+    first, last, gaps = engine._scan_gaps(segment_lib, 3, mask)
+    assert (first, last, gaps.dtype, gaps.tolist()) == (13, 13 + 65_534, np.uint16, [0, 65_534])
+    mask[5 + 32_767], mask[5 + 32_768] = False, True  # 65,536
+    with pytest.raises(CapacityError):
+        engine._scan_gaps(segment_lib, 3, mask)
+    with pytest.raises(CapacityError):
+        engine._pack_gaps(3, np.flatnonzero(mask))
+
+
+def test_second_interpreter_loads_the_cached_library(segment_lib):
+    code = (
+        "from gapsum import engine\n"
+        "def build(*args):\n"
+        "    raise AssertionError('compiled again')\n"
+        "engine._build_segment_library = build\n"
+        "assert engine._segment_lib() is not None\n"
+    )
+    src = str(Path(engine.__file__).parent.parent)
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                   check=True, timeout=60)
+
+
+def test_source_edit_builds_a_new_library(segment_lib, tmp_path, monkeypatch):
+    command = ["cc", "-O2"]
+    before = engine._segment_library_path(command)
+    edited = tmp_path / "_segment.c"
+    edited.write_bytes(engine._SEGMENT_SOURCE.read_bytes() + b"/* edited */\n")
+    monkeypatch.setattr(engine, "_SEGMENT_SOURCE", edited)
+    after = engine._segment_library_path(command)
+    assert after.parent == tmp_path / "__pycache__" and after.name != before.name
+    engine._segment_lib.cache_clear()
+    try:
+        lib = engine._segment_lib()
+        assert lib is not None and Path(lib._name).parent == tmp_path / "__pycache__"
+        # the build went through a temporary file, and left only the library, readable by all
+        assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == [Path(lib._name).name]
+        assert os.stat(lib._name).st_mode & 0o444 == 0o444
+        assert engine._worker_gaps((3, 1001, 32))[:2] == (3, 997)
+    finally:
+        engine._segment_lib.cache_clear()
 
 
 def test_odd_base_primes_match_oracle(oracle_primes_1e5):
