@@ -327,10 +327,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.workers is None or os.environ.get("GAPSUM_WORKERS"):
-            args.workers = engine.default_workers()
-        elif args.workers < 1:
-            raise ValidationError("--workers must be >= 1")
+        env = os.environ.get("GAPSUM_WORKERS")  # when set, it overrides --workers
+        args.workers = engine._resolve_workers(None if env else args.workers)
         out = COMMANDS[args.command].run(args)
         if out is not None:
             path = write_rows(args, out.fields, out.rows)

@@ -18,9 +18,7 @@ caches the library in ``__pycache__``; the wheel tile, the start offsets
 and everything after the gaps stay in numpy.  Where the library does not
 build or load, the numpy code does the same work with the same results,
 and the tests use it as the reference: a strided slice assignment per
-base prime, and ``_prime_slots``, which past 2^28 sieves a wheel tail
-behind the mask so that numpy's ``nonzero`` stays on its dense path where
-primes fill at most 10% of the odd slots (X > e^20), then ``_pack_gaps``.
+base prime, then ``np.flatnonzero`` and ``_pack_gaps``.
 
 ``consecutive_gap_counts`` keeps its last eight histograms, each keyed by
 its pass, so a process sieves each such pass at most once while it is kept.
@@ -39,6 +37,7 @@ scale limit of 1e12 still fits comfortably in 64 bits.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import math
@@ -94,6 +93,15 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
+def _resolve_workers(workers: int | None) -> int:
+    """``workers``, or ``default_workers()`` for None; a count below 1 is refused."""
+    if workers is None:
+        return default_workers()
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
+    return int(workers)
+
+
 def effective_segment_slots(limit: int, segment_slots: int | None = None) -> int:
     """Resolve the per-segment odd-slot count for a run.
 
@@ -101,7 +109,8 @@ def effective_segment_slots(limit: int, segment_slots: int | None = None) -> int
     function of the limit only (see DEFAULT_SEGMENT_SLOTS).
     """
     if segment_slots is not None:
-        if segment_slots < 1024 or segment_slots & (segment_slots - 1):
+        segment_slots = _check_limit(segment_slots, 1024, "segment_slots")
+        if segment_slots & (segment_slots - 1):
             raise ValidationError("segment_slots must be a power of two >= 1024")
         return segment_slots
     extra = max(0, (int(limit).bit_length() - 32) // 2)
@@ -158,6 +167,11 @@ def _build_segment_library(command: Sequence[str], path: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # libraries of older sources go; a process with another CC rebuilds its own
+    for stale in path.parent.glob("_segment-*.so"):
+        if stale != path:
+            with contextlib.suppress(OSError):
+                stale.unlink()
 
 
 @lru_cache(maxsize=1)
@@ -208,18 +222,16 @@ def _wheel_pattern() -> np.ndarray:
     return pattern
 
 
-def _sieve_mask(lo: int, hi: int, base: np.ndarray, tail: int = 0) -> np.ndarray:
+def _sieve_mask(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     """Boolean mask over odd integers in [lo, hi); True means prime.
 
     ``lo`` must be odd and >= 3.  ``base`` must be sorted and contain
-    every odd prime <= sqrt(hi - 1).  The array runs ``tail`` slots past
-    the mask with the wheel pattern left unsieved (see ``_prime_slots``).
+    every odd prime <= sqrt(hi - 1).
     """
     n_slots = (hi - lo + 1) // 2
     phase = (lo // 2) % _WHEEL_PERIOD
-    periods = -(-(phase + n_slots + tail) // _WHEEL_PERIOD)
-    padded = np.tile(_wheel_pattern(), periods)[phase : phase + n_slots + tail]
-    mask = padded[:n_slots]
+    periods = -(-(phase + n_slots) // _WHEEL_PERIOD)
+    mask = np.tile(_wheel_pattern(), periods)[phase : phase + n_slots]
     if lo <= _WHEEL_PRIMES[-1]:
         for p in _WHEEL_PRIMES:
             if lo <= p < hi:
@@ -238,42 +250,11 @@ def _sieve_mask(lo: int, hi: int, base: np.ndarray, tail: int = 0) -> np.ndarray
     else:
         for p, o in zip(ps.tolist(), offsets.tolist()):
             mask[o::p] = False
-    return padded
-
-
-def _prime_slots(padded: np.ndarray, n_slots: int) -> np.ndarray:
-    """``np.flatnonzero(padded[:n_slots])``, on numpy's dense path where it can.
-
-    numpy reads the nonzero entries of a bool array by a memchr-based
-    sparse path when at most 10% of them are set (``PyArray_Nonzero``,
-    numpy gh-4370: count / size <= 0.1).  On 2^20 random slots it took
-    1.6 ms with 104,857 set, against 0.57 ms by the dense path with one
-    more.  Primes fill at most 10% of the odd slots past X = e^20 ~
-    4.85e8.  There the read runs on into the unsieved wheel tail behind
-    the mask and is cut at the mask's count: the positions are sorted, so
-    the first ``count`` are those of the mask, whatever the tail holds.
-    A tail too short to lift the density past 10% only leaves the read on
-    the sparse path.
-    """
-    if len(padded) == n_slots:
-        return np.flatnonzero(padded)
-    count = int(np.count_nonzero(padded[:n_slots]))
-    # The read is dense once its tail holds `short` set slots plus 10% of
-    # the tail's length.  The wheel tail is 38.4% set, and 4 * short + 16
-    # slots of it hold more than 1.4 * short + 1.6 at every wheel phase.
-    short = n_slots // 10 + 1 - count
-    size = n_slots if short <= 0 else min(len(padded), n_slots + 4 * short + 16)
-    return np.flatnonzero(padded[:size])[:count]
+    return mask
 
 
 # ---------------------------------------------------------------------------
 # Worker functions (top level so they pickle under multiprocessing)
-
-# On the numpy path the gap worker sieves a wheel tail of n/8 slots behind
-# an n-slot mask for _prime_slots, only past 2^28: below it more than 10.3%
-# of the odd slots are prime.  That tail keeps the read dense up to
-# X ~ 2.8e13, where 6.5% of them are.
-_TAIL_FROM = 1 << 28
 
 _WIDE_GAP = "a prime gap exceeds 65535, the width of the uint16 gap transfer"
 
@@ -281,13 +262,11 @@ _WIDE_GAP = "a prime gap exceeds 65535, the width of the uint16 gap transfer"
 def _worker_gaps(task: tuple[int, int, int]) -> tuple[int, int, np.ndarray] | None:
     """``_pack_gaps`` of the primes in [lo, hi), or None if there are none."""
     lo, hi, sqrt_cap = task
-    base = _odd_base_primes(sqrt_cap)
+    mask = _sieve_mask(lo, hi, _odd_base_primes(sqrt_cap))
     lib = _segment_lib()
     if lib is not None:
-        return _scan_gaps(lib, lo, _sieve_mask(lo, hi, base))
-    n_slots = (hi - lo + 1) // 2
-    tail = n_slots // 8 if hi > _TAIL_FROM else 0
-    slots = _prime_slots(_sieve_mask(lo, hi, base, tail=tail), n_slots)
+        return _scan_gaps(lib, lo, mask)
+    slots = np.flatnonzero(mask)
     return _pack_gaps(lo, slots) if len(slots) else None
 
 
@@ -359,8 +338,7 @@ def _segment_map(worker, limit: int, *, workers: int | None, segment_slots: int 
     deterministic.  No result is referenced
     here once it has been yielded.
     """
-    if workers is None:
-        workers = default_workers()
+    workers = _resolve_workers(workers)
     _segment_lib()  # load the kernel here, so that a forked pool inherits it
     span = 2 * effective_segment_slots(limit, segment_slots)
     sqrt_cap = math.isqrt(limit) + 1
@@ -518,7 +496,7 @@ def gap_blocks(
     sieve_limit, index_limit = _sieve_limit(prime_limit, index_limit)
     if index_limit is not None and init_n > index_limit:
         return  # restarted from a run that had already closed the index limit
-    workers = default_workers() if workers is None else workers
+    workers = _resolve_workers(workers)
     slots = effective_segment_slots(sieve_limit, segment_slots)
     key = (sieve_limit, index_limit, workers, slots)
     fresh = index_limit is not None and (start_lo, init_last, init_n) == (_FIRST_ODD, 2, 1)
@@ -624,8 +602,7 @@ def consecutive_gap_counts(
     (``_gap_histogram``); every call gets a fresh ``counts`` dict.
     """
     limit = _check_limit(limit, 3)
-    if workers is None:
-        workers = default_workers()
+    workers = _resolve_workers(workers)
     slots = effective_segment_slots(limit, segment_slots)
     return GapHistogram(limit, dict(_gap_histogram(limit, workers, slots)))
 

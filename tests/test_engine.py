@@ -2,8 +2,11 @@ import bisect
 import math
 import multiprocessing
 import os
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
 from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -82,36 +85,6 @@ def test_sieve_mask_matches_per_prime_oracle(lo, slots, extra, wide_base, oracle
     base = np.array(oracle_primes_1e5[1 : bisect.bisect_right(oracle_primes_1e5, cap)], np.int64)
     got = engine._sieve_mask(lo, hi, base)
     assert np.array_equal(got, oracles.segment_mask(lo, hi, base))
-    # a tail leaves the mask as it is and holds the wheel pattern unsieved;
-    # lo <= 13 also reads the first segment's primes through it
-    n, tail = len(got), 2 * slots + extra
-    padded = engine._sieve_mask(lo, hi, base, tail=tail)
-    assert len(padded) == n + tail and np.array_equal(padded[:n], got)
-    wheel = np.tile(engine._wheel_pattern(), 2 + tail // engine._WHEEL_PERIOD)
-    phase = (lo // 2 + n) % engine._WHEEL_PERIOD
-    assert np.array_equal(padded[n:], wheel[phase : phase + tail])
-    assert np.array_equal(engine._prime_slots(padded, n), np.flatnonzero(got))
-
-
-@settings(max_examples=200)
-@given(
-    # n = 10 * count sits on the sparse side of numpy's 10% rule
-    n_slots=st.one_of(st.integers(0, 20_000), st.integers(0, 2_000).map(lambda k: 10 * k)),
-    # tails too short to lift the read past 10% as well as long enough ones
-    tail=st.one_of(st.integers(0, 64), st.integers(0, 5_000)),
-    phase=st.integers(0, engine._WHEEL_PERIOD - 1),
-    seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
-def test_prime_slots_match_flatnonzero(n_slots, tail, phase, seed, data):
-    # densities 0-20%, with exactly 10% and the empty mask drawn on their own
-    count = data.draw(st.one_of(st.just(n_slots // 10), st.just(0), st.integers(0, n_slots // 5)))
-    mask = np.zeros(n_slots, dtype=bool)
-    mask[np.random.default_rng(seed).choice(n_slots, count, replace=False)] = True
-    wheel = np.tile(engine._wheel_pattern(), 2 + tail // engine._WHEEL_PERIOD)
-    padded = np.concatenate([mask, wheel[phase : phase + tail]])
-    got = engine._prime_slots(padded, n_slots)
-    assert got.dtype == np.intp and np.array_equal(got, np.flatnonzero(mask))
 
 
 @pytest.fixture(scope="module")
@@ -127,12 +100,15 @@ def test_worker_gaps_past_the_sparse_crossover(x, slots, oracle_odd_primes_1e6):
     lo = x + 1
     hi = lo + 2 * slots
     want = np.flatnonzero(oracles.segment_mask(lo, hi, oracle_odd_primes_1e6))
-    assert 10 * len(want) <= slots  # numpy would read this mask by its sparse path
-    first, last, gaps = engine._worker_gaps((lo, hi, math.isqrt(hi) + 1))
-    assert (first, last) == (lo + 2 * int(want[0]), lo + 2 * int(want[-1]))
-    assert gaps[0] == 0 and gaps[1:].tolist() == (2 * np.diff(want)).tolist()
-    packed = engine._pack_gaps(lo, want)
-    assert packed[:2] == (first, last) and np.array_equal(packed[2], gaps)
+    assert 10 * len(want) <= slots  # numpy reads this mask by its sparse path
+    # the compiled kernel where it loads, then the numpy path, as on a host without it
+    for lib in (engine._segment_lib, lambda: None):
+        with mock.patch.object(engine, "_segment_lib", lib):
+            first, last, gaps = engine._worker_gaps((lo, hi, math.isqrt(hi) + 1))
+        assert (first, last) == (lo + 2 * int(want[0]), lo + 2 * int(want[-1]))
+        assert gaps[0] == 0 and gaps[1:].tolist() == (2 * np.diff(want)).tolist()
+        packed = engine._pack_gaps(lo, want)
+        assert packed[:2] == (first, last) and np.array_equal(packed[2], gaps)
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +117,15 @@ def segment_lib():
     if lib is None:
         pytest.skip("the compiled segment kernel did not build or load on this host")
     return lib
+
+
+def test_compiled_kernel_builds_where_it_can():
+    # a _segment.c that fails to compile fails here, rather than skipping every
+    # test of the kernel and leaving the run on the numpy path
+    cc = sysconfig.get_config_var("CC")
+    if sys.byteorder != "little" or not cc or not shutil.which(shlex.split(cc)[0]):
+        pytest.skip("no compiler, or a big-endian host: the numpy path is expected")
+    assert engine._segment_lib() is not None
 
 
 def _same_gaps(got, want) -> bool:
@@ -178,7 +163,7 @@ def test_compiled_kernel_matches_numpy(segment_lib, oracle_primes_1e5, lo, slots
         want_mask, want_gaps = engine._sieve_mask(lo, hi, base), engine._worker_gaps(task)
     assert np.array_equal(got_mask, want_mask)
     assert _same_gaps(got_gaps, want_gaps)
-    slots_set = engine._prime_slots(want_mask, len(want_mask))
+    slots_set = np.flatnonzero(want_mask)
     want = engine._pack_gaps(lo, slots_set) if len(slots_set) else None
     assert _same_gaps(engine._scan_gaps(segment_lib, lo, got_mask), want)
 
@@ -237,11 +222,14 @@ def test_source_edit_builds_a_new_library(segment_lib, tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "_SEGMENT_SOURCE", edited)
     after = engine._segment_library_path(command)
     assert after.parent == tmp_path / "__pycache__" and after.name != before.name
+    (tmp_path / "__pycache__").mkdir()
+    (tmp_path / "__pycache__" / "_segment-0000000000000000.so").write_bytes(b"stale")
     engine._segment_lib.cache_clear()
     try:
         lib = engine._segment_lib()
         assert lib is not None and Path(lib._name).parent == tmp_path / "__pycache__"
-        # the build went through a temporary file, and left only the library, readable by all
+        # the build went through a temporary file and removed the stale library,
+        # leaving only its own, readable by all
         assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == [Path(lib._name).name]
         assert os.stat(lib._name).st_mode & 0o444 == 0o444
         assert engine._worker_gaps((3, 1001, 32))[:2] == (3, 997)
@@ -429,6 +417,10 @@ def test_determinism_across_workers_and_segment_sizes(oracle_primes_1e5):
 def test_segment_slots_validation():
     with pytest.raises(ValidationError):
         engine.prime_count(1000, segment_slots=3000)  # not a power of two
+    with pytest.raises(ValidationError):
+        engine.prime_count(1000, segment_slots=512)
+    with pytest.raises(ValidationError):
+        engine.prime_count(1000, segment_slots=4096.0)
 
 
 def test_non_integer_limit_rejected():
@@ -445,6 +437,14 @@ def test_bad_workers_env(monkeypatch):
     monkeypatch.setenv("GAPSUM_WORKERS", "0")
     with pytest.raises(ValidationError):
         engine.default_workers()
+    # the library refuses the same counts, before any pool starts
+    for workers in (0, -3, 2.0, "2"):
+        with pytest.raises(ValidationError):
+            engine.prime_count(10**6, workers=workers)
+        with pytest.raises(ValidationError):
+            list(engine.gap_blocks(prime_limit=10**6, workers=workers))
+        with pytest.raises(ValidationError):
+            engine.consecutive_gap_counts(10**6, workers=workers)
 
 
 def test_prime_value_bound_is_an_upper_bound(oracle_primes_1e5):
