@@ -1,14 +1,15 @@
 """Segmented prime sieve with deterministic parallel segment merging.
 
 The sieve works on odd integers only.  A segment covers a span of
-``2 * slots`` consecutive integers starting at an odd bound, and slot ``i``
-of a segment based at ``lo`` represents the odd number ``lo + 2*i``.
-Segments are sieved independently (optionally by worker processes) and
-consumed strictly in increasing order, so every derived stream (primes,
-gaps, counts) is identical for any worker count.  ``_sieve_mask`` is the
-one kernel, also for the base primes.  ``gap_blocks`` is the one fold over
-the uint16 gaps the gap worker sends, 2 bytes a prime, and ``prime_blocks``
-reads it; the tuple worker counts tuples, ``prime_count`` that of (0,).
+``2 * SEGMENT_SLOTS`` consecutive integers starting at an odd bound, and
+slot ``i`` of a segment based at ``lo`` represents the odd number
+``lo + 2*i``.  Segments are sieved independently (optionally by worker
+processes) and consumed strictly in increasing order, so every derived
+stream (primes, gaps, counts) is identical for any worker count and any
+segment size.  ``_sieve_mask`` is the one kernel, also for the base
+primes.  ``gap_blocks`` is the one fold over the uint16 gaps the gap worker
+sends, 2 bytes a prime, and ``prime_blocks`` reads it; the tuple worker
+counts tuples, ``prime_count`` that of (0,).
 
 Two steps of a segment run in C when they can: ``_segment.c``'s
 ``cross_off`` clears the multiples of the base primes, those below 8192 one
@@ -25,7 +26,9 @@ its pass, so a process sieves each such pass at most once while it is kept.
 The n-dependent sums need the gaps themselves, so ``gap_blocks`` keeps the
 last finished from-scratch index stream of at most 2^24 gaps, one byte a
 gap, and replays it for the next pass with the same sieve bound, index
-limit, worker count and segment size instead of sieving again.
+limit and worker count instead of sieving again.  Both keys also hold
+``SEGMENT_SLOTS`` as it reads at the call, so a pass after a patch of the
+constant sieves again.
 
 Counting is by sieve only; there is no analytic shortcut, and no
 primality proving for individual large integers.
@@ -61,21 +64,16 @@ from .errors import CapacityError, EmptyDomainError, ValidationError
 
 CAPACITY_LIMIT = 2**63 - 1
 
-# Default number of odd slots per segment, measured rather than sized to a
-# cache.  Each segment pays a fixed cost per base prime (about
-# sqrt(X)/log sqrt(X) of them): its start offset, and on the numpy path one
-# Python-level slice assignment.  A larger mask amortises that until cache
-# misses take over.  On the numpy path, with one worker, pi(1e8) and
-# pi(1e9) were fastest at 2^20 slots and pi(1e10) at 2^21 (2^22 and 2^23
-# were slower); per-segment timings near 1e11 and 1e12 kept improving up to
-# 2^23 (BENCH_sieve_kernel.json).  The compiled kernel sweeps the small
-# primes in L1-sized blocks whatever the segment size, and a one-worker gap
-# pass to 1e9 took 0.39, 0.36, 0.36 and 0.41 s at 2^18 to 2^21 slots
-# (BENCH_compiled_kernel.json), so 2^20 stays.  So 2^20 slots below 2^33,
-# then one doubling per two octaves of the limit (as the base-prime count
-# doubles): 2^21 from 2^33, 2^22 from 2^35, 2^23 from 2^37 on.
-DEFAULT_SEGMENT_SLOTS = 1 << 20
-_MAX_SEGMENT_SLOTS = 1 << 23
+# Odd slots per segment, one size for every pass, measured rather than sized
+# to a cache.  Each segment pays a fixed cost per base prime (its start
+# offset), which a larger mask amortises.  But while the compiled kernel
+# sweeps the small primes in L1-sized blocks whatever the size, the large
+# primes and the gap scan sweep the whole mask, one byte a slot: 2^20 slots
+# fill half of a 2 MiB L2, 2^21 all of it.  On one segment just below X,
+# _worker_gaps took 1.12 ns per integer at 2^20 slots against 1.34 at 2^21
+# (X = 1e10), 1.39 against 2.67 at 2^23 (X = 2e11), and 1.66 against 1.91
+# at 2^21 and 3.11 at 2^23 (X = 1e12) (BENCH_one_segment_size.json).
+SEGMENT_SLOTS = 1 << 20
 
 _FIRST_ODD = 3
 
@@ -102,19 +100,9 @@ def _resolve_workers(workers: int | None) -> int:
     return int(workers)
 
 
-def effective_segment_slots(limit: int, segment_slots: int | None = None) -> int:
-    """Resolve the per-segment odd-slot count for a run.
-
-    Explicit values must be a power of two.  The automatic choice is a
-    function of the limit only (see DEFAULT_SEGMENT_SLOTS).
-    """
-    if segment_slots is not None:
-        segment_slots = _check_limit(segment_slots, 1024, "segment_slots")
-        if segment_slots & (segment_slots - 1):
-            raise ValidationError("segment_slots must be a power of two >= 1024")
-        return segment_slots
-    extra = max(0, (int(limit).bit_length() - 32) // 2)
-    return min(DEFAULT_SEGMENT_SLOTS << extra, _MAX_SEGMENT_SLOTS)
+def effective_segment_slots(limit: int) -> int:
+    """The odd slots per segment of a pass to ``limit``: ``SEGMENT_SLOTS``, read at call time."""
+    return SEGMENT_SLOTS
 
 
 def _check_limit(limit: int, minimum: int, what: str = "limit") -> int:
@@ -326,8 +314,8 @@ def _worker_tuple_counts(task: tuple[int, int, int, int, tuple[tuple[int, ...], 
     return out
 
 
-def _segment_map(worker, limit: int, *, workers: int | None, segment_slots: int | None,
-                 start_lo: int = _FIRST_ODD, extra: tuple = ()) -> Iterator[tuple[int, object]]:
+def _segment_map(worker, limit: int, *, workers: int | None, start_lo: int = _FIRST_ODD,
+                 extra: tuple = ()) -> Iterator[tuple[int, object]]:
     """Yield (segment end, worker(task)) for each segment up to ``limit``, in order.
 
     A task is ``(lo, hi, sqrt_cap, *extra)``: the odd integers in
@@ -335,12 +323,11 @@ def _segment_map(worker, limit: int, *, workers: int | None, segment_slots: int 
     the tasks run in a process pool of at most one worker per task, a
     bounded window ahead of the consumer, but results are still yielded
     in segment order, which keeps every downstream reduction
-    deterministic.  No result is referenced
-    here once it has been yielded.
+    deterministic.  No result is referenced here once it has been yielded.
     """
     workers = _resolve_workers(workers)
     _segment_lib()  # load the kernel here, so that a forked pool inherits it
-    span = 2 * effective_segment_slots(limit, segment_slots)
+    span = 2 * SEGMENT_SLOTS
     sqrt_cap = math.isqrt(limit) + 1
     tasks = [(lo, min(lo + span, limit + 1), sqrt_cap, *extra)
              for lo in range(start_lo, limit + 1, span)]
@@ -393,43 +380,28 @@ class GapHistogram:
 # ---------------------------------------------------------------------------
 # Prime enumeration
 
-def prime_blocks(
-    limit: int,
-    *,
-    workers: int | None = None,
-    segment_slots: int | None = None,
-) -> Iterator[np.ndarray]:
+def prime_blocks(limit: int, *, workers: int | None = None) -> Iterator[np.ndarray]:
     """Yield int64 arrays of the odd primes in successive segments up to ``limit``.
 
     The prime 2 is not included; callers that need it prepend it
     themselves.  Each array is ``rights()`` of one ``gap_blocks`` block.
     """
     if _check_limit(limit, 2) > 2:
-        blocks = gap_blocks(prime_limit=limit, workers=workers, segment_slots=segment_slots)
+        blocks = gap_blocks(prime_limit=limit, workers=workers)
         yield from (block.rights() for block in blocks)
 
 
-def primes_up_to(
-    limit: int,
-    *,
-    workers: int | None = None,
-    segment_slots: int | None = None,
-) -> Iterator[int]:
+def primes_up_to(limit: int, *, workers: int | None = None) -> Iterator[int]:
     """Every prime <= limit exactly once, in increasing order."""
     limit = _check_limit(limit, 2)
     yield 2
-    for block in prime_blocks(limit, workers=workers, segment_slots=segment_slots):
+    for block in prime_blocks(limit, workers=workers):
         yield from (int(p) for p in block)
 
 
-def prime_count(
-    limit: int,
-    *,
-    workers: int | None = None,
-    segment_slots: int | None = None,
-) -> int:
+def prime_count(limit: int, *, workers: int | None = None) -> int:
     """pi(limit): the number of primes <= limit."""
-    return tuple_count(limit, (0,), workers=workers, segment_slots=segment_slots)
+    return tuple_count(limit, (0,), workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +432,7 @@ class GapBlock:
 
 
 # The kept index stream: at most one, keyed by (sieve bound, index limit,
-# workers, segment slots), holding (n0, gaps as uint8, last_prime, seg_end)
+# workers, SEGMENT_SLOTS), holding (n0, gaps as uint8, last_prime, seg_end)
 # per block.  The first 2^24 gaps are all at most 248: the next record gap,
 # 250, follows 387,096,133, past p_(2^24) ~ 3.1e8 (OEIS A005250).
 _KEPT_STREAM_GAPS = 1 << 24
@@ -472,7 +444,6 @@ def gap_blocks(
     prime_limit: int | None = None,
     index_limit: int | None = None,
     workers: int | None = None,
-    segment_slots: int | None = None,
     start_lo: int = _FIRST_ODD,
     init_last: int = 2,
     init_n: int = 1,
@@ -489,7 +460,7 @@ def gap_blocks(
 
     A from-scratch index pass to N <= 2^24 that is consumed to its end is
     kept in place of the previous one; the next from-scratch pass with the
-    same sieve bound, N, worker count and segment size replays its blocks
+    same sieve bound, N, worker count and ``SEGMENT_SLOTS`` replays its blocks
     (equal field by field) instead of sieving.  A pass closed early or ended
     by an exception keeps nothing.
     """
@@ -497,8 +468,7 @@ def gap_blocks(
     if index_limit is not None and init_n > index_limit:
         return  # restarted from a run that had already closed the index limit
     workers = _resolve_workers(workers)
-    slots = effective_segment_slots(sieve_limit, segment_slots)
-    key = (sieve_limit, index_limit, workers, slots)
+    key = (sieve_limit, index_limit, workers, SEGMENT_SLOTS)
     fresh = index_limit is not None and (start_lo, init_last, init_n) == (_FIRST_ODD, 2, 1)
     if fresh and key in _kept_stream:
         for n0, gaps, top, seg_end in _kept_stream[key]:
@@ -508,7 +478,7 @@ def gap_blocks(
     last = init_last
     n = init_n
     for seg_end, summary in _segment_map(
-        _worker_gaps, sieve_limit, workers=workers, segment_slots=slots, start_lo=start_lo,
+        _worker_gaps, sieve_limit, workers=workers, start_lo=start_lo,
     ):
         first, top, gaps = summary or (last, last, np.empty(0, dtype=np.uint16))
         if first - last > 0xFFFF:
@@ -558,15 +528,9 @@ def gap_stream(
     prime_limit: int | None = None,
     index_limit: int | None = None,
     workers: int | None = None,
-    segment_slots: int | None = None,
 ) -> Iterator[GapRecord]:
     """Yield GapRecord(n, p_n, p_{n+1}, d_n) in increasing n."""
-    for block in gap_blocks(
-        prime_limit=prime_limit,
-        index_limit=index_limit,
-        workers=workers,
-        segment_slots=segment_slots,
-    ):
+    for block in gap_blocks(prime_limit=prime_limit, index_limit=index_limit, workers=workers):
         for j, (g, r) in enumerate(zip(block.gaps.tolist(), block.rights().tolist())):
             yield GapRecord(block.n0 + j, r - g, r, g)
 
@@ -580,31 +544,25 @@ def _gap_counter(gaps: np.ndarray) -> Counter:
 def _gap_histogram(limit: int, workers: int, slots: int) -> tuple[tuple[int, int], ...]:
     """Sorted (d, N(d)) pairs of one gap pass, kept for the next identical pass.
 
-    The histogram does not depend on ``workers`` or ``slots``; the key holds
-    them so that every distinct pass is still sieved once.  A pass that
-    raises caches nothing.
+    The histogram does not depend on ``workers`` or ``slots`` (the
+    ``SEGMENT_SLOTS`` it was sieved with); the key holds them so that every
+    distinct pass is still sieved once.  A pass that raises caches nothing.
     """
-    blocks = gap_blocks(prime_limit=limit, workers=workers, segment_slots=slots)
+    blocks = gap_blocks(prime_limit=limit, workers=workers)
     hist = sum((_gap_counter(block.gaps) for block in blocks), Counter())
     return tuple(sorted(hist.items()))
 
 
-def consecutive_gap_counts(
-    limit: int,
-    *,
-    workers: int | None = None,
-    segment_slots: int | None = None,
-) -> GapHistogram:
+def consecutive_gap_counts(limit: int, *, workers: int | None = None) -> GapHistogram:
     """Histogram of consecutive gaps d_n with p_{n+1} <= limit; the integer fold is exact.
 
     Within a process, a repeated call with the same limit, worker count and
-    segment size reads the first call's histogram instead of sieving again
+    ``SEGMENT_SLOTS`` reads the first call's histogram instead of sieving again
     (``_gap_histogram``); every call gets a fresh ``counts`` dict.
     """
     limit = _check_limit(limit, 3)
     workers = _resolve_workers(workers)
-    slots = effective_segment_slots(limit, segment_slots)
-    return GapHistogram(limit, dict(_gap_histogram(limit, workers, slots)))
+    return GapHistogram(limit, dict(_gap_histogram(limit, workers, SEGMENT_SLOTS)))
 
 
 # ---------------------------------------------------------------------------
@@ -647,13 +605,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def tuple_counts(
-    limit: int,
-    tuple_list: Sequence,
-    *,
-    workers: int | None = None,
-    segment_slots: int | None = None,
-) -> list[int]:
+def tuple_counts(limit: int, tuple_list: Sequence, *, workers: int | None = None) -> list[int]:
     """pi(limit; H) for each H in one sieve pass.
 
     Counts n with n + max(H) <= limit such that n + h is prime for every
@@ -668,22 +620,14 @@ def tuple_counts(
     if sieved:
         tuples = tuple(normalized[j] for j in sieved)
         total = np.zeros(len(tuples), dtype=np.int64)
-        for _, part in _segment_map(
-            _worker_tuple_counts, limit, workers=workers, segment_slots=segment_slots,
-            extra=(limit, tuples),
-        ):
+        for _, part in _segment_map(_worker_tuple_counts, limit, workers=workers,
+                                    extra=(limit, tuples)):
             total += part
         for j, count in zip(sieved, total.tolist()):
             results[j] += count
     return results
 
 
-def tuple_count(
-    limit: int,
-    h,
-    *,
-    workers: int | None = None,
-    segment_slots: int | None = None,
-) -> int:
+def tuple_count(limit: int, h, *, workers: int | None = None) -> int:
     """pi(limit; H) for a single tuple; see ``tuple_counts``."""
-    return tuple_counts(limit, [h], workers=workers, segment_slots=segment_slots)[0]
+    return tuple_counts(limit, [h], workers=workers)[0]

@@ -194,7 +194,6 @@ def weighted_gap_sum_series(
     index_limit: int | None = None,
     snapshot_limits: Sequence[int] | None = None,
     workers: int | None = None,
-    segment_slots: int | None = None,
     resume: AccumulatorState | None = None,
     on_segment: Callable[[AccumulatorState], None] | None = None,
     stop_after_segments: int | None = None,
@@ -217,8 +216,7 @@ def weighted_gap_sum_series(
     restart = 0 if resume is None else state.next_n if mode == "index" else state.next_lo
     cuts = _pending_grid(snapshot_limits, limit, snaps, restart)
     hist = Counter(state.counts)
-    for block in _segments(state, stop_after_segments, **{f"{mode}_limit": limit},
-                           workers=workers, segment_slots=segment_slots):
+    for block in _segments(state, stop_after_segments, **{f"{mode}_limit": limit}, workers=workers):
         prev = 0
         for cut, pos in _closing_cuts(block, cuts, mode):
             hist.update(engine._gap_counter(block.gaps[prev:pos]))
@@ -275,7 +273,6 @@ def erdos_nathanson_series(
     *,
     snapshot_limits: Sequence[int] | None = None,
     workers: int | None = None,
-    segment_slots: int | None = None,
     resume: AccumulatorState | None = None,
     on_segment: Callable[[AccumulatorState], None] | None = None,
     stop_after_segments: int | None = None,
@@ -296,8 +293,7 @@ def erdos_nathanson_series(
     cuts = _pending_grid(snapshot_limits, index_limit, snaps, 0 if resume is None else state.next_n)
     pair, restart = (state.kahan_s, state.kahan_c), state
     chunk = np.zeros(_CHUNK)  # the open chunk's terms; those of n = 0, 1, 2 stay 0.0
-    for block in _segments(state, stop_after_segments, index_limit=index_limit,
-                           workers=workers, segment_slots=segment_slots):
+    for block in _segments(state, stop_after_segments, index_limit=index_limit, workers=workers):
         n, end, closed = block.n0, block.n0 + len(block.gaps), None
         while n < end:  # one piece per chunk the block reaches into
             lo, top = max(n, 3), min(end, n - n % _CHUNK + _CHUNK)
@@ -332,11 +328,7 @@ def erdos_nathanson_sum(index_limit: int, c: float, **kwargs) -> SumSnapshot:
 # Three-range decomposition
 
 def range_split_sum(
-    prime_limit: int,
-    weight: WeightSpec,
-    *,
-    workers: int | None = None,
-    segment_slots: int | None = None,
+    prime_limit: int, weight: WeightSpec, *, workers: int | None = None
 ) -> RangeSplit:
     """Split sum f(d_n) over p_{n+1} <= X at d = y and d = log X.
 
@@ -353,7 +345,7 @@ def range_split_sum(
         raise ValidationError("the range decomposition requires alpha <= 1")
     log_x = math.log(x)
     y = log_x / math.log(log_x)
-    hist = engine.consecutive_gap_counts(x, workers=workers, segment_slots=segment_slots)
+    hist = engine.consecutive_gap_counts(x, workers=workers)
     counts = weight.summed(hist.counts)
     bounds = (0, y, log_x, math.inf)
     return RangeSplit(x, y, *(
@@ -365,13 +357,7 @@ def range_split_sum(
 # ---------------------------------------------------------------------------
 # Inclusion-exclusion sandwich
 
-def sandwich_check(
-    limit: int,
-    d: int,
-    *,
-    workers: int | None = None,
-    segment_slots: int | None = None,
-) -> SandwichResult:
+def sandwich_check(limit: int, d: int, *, workers: int | None = None) -> SandwichResult:
     """Bracket the consecutive-gap count between inclusion-exclusion bounds.
 
     lower = pi(X; {0,d}) - sum_{h=1}^{d-1} pi(X; {0,h,d}), middle = the
@@ -383,14 +369,10 @@ def sandwich_check(
     if d % 2:
         raise ValidationError("the sandwich is defined for even d >= 2")
     limit = engine._check_limit(limit, d + 3)
-    counts = engine.tuple_counts(
-        limit, [(0, d)] + [(0, h, d) for h in range(1, d)],
-        workers=workers, segment_slots=segment_slots,
-    )
+    counts = engine.tuple_counts(limit, [(0, d)] + [(0, h, d) for h in range(1, d)],
+                                 workers=workers)
     upper = counts[0]
-    histogram = engine.consecutive_gap_counts(
-        limit, workers=workers, segment_slots=segment_slots
-    )
+    histogram = engine.consecutive_gap_counts(limit, workers=workers)
     middle = histogram.counts.get(d, 0)
     lower = upper - sum(counts[1:])
     return SandwichResult(lower, middle, upper, lower <= middle <= upper)

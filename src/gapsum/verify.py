@@ -126,11 +126,7 @@ def main_term_corollary(limit: int, c: float) -> float | None:
 # Claim-by-claim reports
 
 def conjecture1_ratio(
-    limit: int,
-    d_list: Sequence[int],
-    *,
-    workers: int | None = None,
-    segment_slots: int | None = None,
+    limit: int, d_list: Sequence[int], *, workers: int | None = None
 ) -> list[VerificationReport]:
     """Pair counts against S({0,d}) X / log^2 X for each d."""
     x = engine._check_limit(limit, 2)
@@ -154,9 +150,7 @@ def conjecture1_ratio(
             )
         else:
             todo.append(d)
-    counts = engine.tuple_counts(
-        x, [(0, d) for d in todo], workers=workers, segment_slots=segment_slots
-    )
+    counts = engine.tuple_counts(x, [(0, d) for d in todo], workers=workers)
     for d, count in zip(todo, counts):
         predicted = singular.pair_singular(d).value * x / log_x**2
         reports.append(
@@ -226,7 +220,6 @@ def sieve_bound_check(
     *,
     truncation: int = singular.DEFAULT_TRUNCATION,
     workers: int | None = None,
-    segment_slots: int | None = None,
 ) -> list[VerificationReport]:
     """Triple counts against the sieve upper bound 48 S(H) X / log^3 X.
 
@@ -253,9 +246,7 @@ def sieve_bound_check(
             )
         else:
             todo.append((h, d, sv))
-    counts = engine.tuple_counts(
-        x, [(0, h, d) for h, d, _ in todo], workers=workers, segment_slots=segment_slots
-    )
+    counts = engine.tuple_counts(x, [(0, h, d) for h, d, _ in todo], workers=workers)
     for (h, d, sv), count in zip(todo, counts):
         predicted = SIEVE_BOUND_CONSTANT * sv.value * x / log_x**3
         reports.append(
@@ -276,7 +267,6 @@ def theorem1_ratio(
     mode: str = "prime",
     *,
     workers: int | None = None,
-    segment_slots: int | None = None,
 ) -> VerificationReport:
     """One weighted-sum ratio row; prime mode carries the range split in notes.
 
@@ -289,7 +279,7 @@ def theorem1_ratio(
     weight = sums.WeightSpec(alpha)
     notes = ""
     if mode == "prime":
-        split = sums.range_split_sum(x, weight, workers=workers, segment_slots=segment_slots)
+        split = sums.range_split_sum(x, weight, workers=workers)
         empirical = split.total
         notes = (
             f"low={format_float(split.low)};mid={format_float(split.mid)};"
@@ -297,7 +287,7 @@ def theorem1_ratio(
         )
     elif mode == "index":
         empirical = sums.weighted_gap_sum(weight, index_limit=x, snapshot_limits=[],
-                                          workers=workers, segment_slots=segment_slots).value
+                                          workers=workers).value
     else:
         raise ValidationError(f"mode must be 'prime' or 'index', got {mode!r}")
     predicted = main_term_theorem1(x, alpha, mode)
@@ -307,13 +297,7 @@ def theorem1_ratio(
     )
 
 
-def corollary_ratio(
-    limit: int,
-    c: float,
-    *,
-    workers: int | None = None,
-    segment_slots: int | None = None,
-) -> VerificationReport:
+def corollary_ratio(limit: int, c: float, *, workers: int | None = None) -> VerificationReport:
     """The damped reciprocal series against its regime-dependent prediction.
 
     For c > 2 the predicted value is the plateau (the final snapshot)
@@ -323,9 +307,7 @@ def corollary_ratio(
     x = engine._check_limit(limit, 16)
     c = float(c)
     grid = sums.default_snapshot_grid(x)
-    series = sums.erdos_nathanson_series(
-        x, c, snapshot_limits=grid, workers=workers, segment_slots=segment_slots
-    )
+    series = sums.erdos_nathanson_series(x, c, snapshot_limits=grid, workers=workers)
     empirical = series[-1].value
     predicted = main_term_corollary(x, c)
     notes = ""

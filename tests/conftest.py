@@ -34,3 +34,16 @@ def fresh_gap_memos():
     so each sieves its first pass."""
     engine._gap_histogram.cache_clear()
     engine._kept_stream.clear()
+
+
+@pytest.fixture
+def set_segment_slots(monkeypatch):
+    """A setter of ``engine.SEGMENT_SLOTS`` for the rest of the test.
+
+    Setting it in this process is enough: a pool forks from here, and each
+    task carries its own (lo, hi).
+    """
+    def set_slots(slots: int) -> None:
+        monkeypatch.setattr(engine, "SEGMENT_SLOTS", slots)
+
+    return set_slots

@@ -111,6 +111,9 @@ def test_unknown_flag_exits_1(tmp_path, monkeypatch, capsys):
     args = ["weighted-sum", "--limit", "1000", "--alpha", "-1", "--start-index", "3"]
     assert run_cli(args, tmp_path, monkeypatch) == 1
     assert not (tmp_path / "gapsum-weighted-sum.csv").exists()
+    # every pass sieves engine.SEGMENT_SLOTS slots a segment
+    args = ["sieve-stats", "--limit", "1e4", "--segment-size", "1024"]
+    assert run_cli(args, tmp_path, monkeypatch) == 1
 
 
 def test_unknown_command_exits_1(tmp_path, monkeypatch):
@@ -227,8 +230,7 @@ def test_en_sum_checkpoint_cycle(tmp_path, monkeypatch):
 
 
 # The cadence runs: 1e5 at 1024 slots is 49 segments of 2048 integers each.
-_CADENCE = ["weighted-sum", "--limit", "1e5", "--alpha", "1", "--workers", "1",
-            "--segment-size", "1024"]
+_CADENCE = ["weighted-sum", "--limit", "1e5", "--alpha", "1", "--workers", "1"]
 _SEGMENT_ENDS = [min(lo + 2048, 10**5 + 1) for lo in range(3, 10**5 + 1, 2048)]
 
 
@@ -256,20 +258,24 @@ def _resume_matches_full(tmp_path, monkeypatch):
     assert read_csv(tmp_path / "resumed.csv")[1] == read_csv(tmp_path / "full.csv")[1]
 
 
-def test_checkpoint_every_segment_at_zero_interval(saved, tmp_path, monkeypatch):
+def test_checkpoint_every_segment_at_zero_interval(saved, tmp_path, monkeypatch, set_segment_slots):
+    set_segment_slots(1 << 10)
     monkeypatch.setattr(checkpoint, "SAVE_INTERVAL_S", 0.0)
     assert run_cli(_CADENCE + ["--checkpoint-dir", "ck"], tmp_path, monkeypatch) == 0
     assert [st.next_lo for st in saved] == _SEGMENT_ENDS
 
 
-def test_checkpoint_once_at_completion_within_the_interval(saved, tmp_path, monkeypatch):
+def test_checkpoint_once_at_completion_within_the_interval(saved, tmp_path, monkeypatch,
+                                                           set_segment_slots):
+    set_segment_slots(1 << 10)
     monkeypatch.setattr(checkpoint, "SAVE_INTERVAL_S", 1e9)
     assert run_cli(_CADENCE + ["--checkpoint-dir", "ck"], tmp_path, monkeypatch) == 0
     assert [st.next_lo for st in saved] == [_SEGMENT_ENDS[-1]]
     _resume_matches_full(tmp_path, monkeypatch)
 
 
-def test_checkpoint_saved_at_a_stop(saved, tmp_path, monkeypatch):
+def test_checkpoint_saved_at_a_stop(saved, tmp_path, monkeypatch, set_segment_slots):
+    set_segment_slots(1 << 10)
     monkeypatch.setattr(checkpoint, "SAVE_INTERVAL_S", 1e9)
     code = run_cli(_CADENCE + ["--checkpoint-dir", "ck", "--stop-after-segments", "3"],
                    tmp_path, monkeypatch)
@@ -278,7 +284,8 @@ def test_checkpoint_saved_at_a_stop(saved, tmp_path, monkeypatch):
     _resume_matches_full(tmp_path, monkeypatch)
 
 
-def test_checkpoint_saved_when_a_segment_fails(saved, tmp_path, monkeypatch):
+def test_checkpoint_saved_when_a_segment_fails(saved, tmp_path, monkeypatch, set_segment_slots):
+    set_segment_slots(1 << 10)
     # the 5th segment's worker fails, so the record holds the state after 4
     monkeypatch.setattr(checkpoint, "SAVE_INTERVAL_S", 1e9)
     real_worker, calls = engine._worker_gaps, []
@@ -298,7 +305,8 @@ def test_checkpoint_saved_when_a_segment_fails(saved, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("interval", [0.0, 1e9])  # a timed save, then the final one
-def test_failed_checkpoint_save_is_not_retried(interval, tmp_path, monkeypatch):
+def test_failed_checkpoint_save_is_not_retried(interval, tmp_path, monkeypatch, set_segment_slots):
+    set_segment_slots(1 << 10)
     monkeypatch.setattr(checkpoint, "SAVE_INTERVAL_S", interval)
     error, calls = OSError("disk full"), []
 
@@ -324,17 +332,21 @@ def test_resume_with_other_alpha_refused(tmp_path, monkeypatch):
     assert code == 1
 
 
-def test_resume_on_another_segment_size_writes_the_same_report(tmp_path, monkeypatch):
+def test_resume_on_another_segment_size_writes_the_same_report(tmp_path, monkeypatch,
+                                                               set_segment_slots):
     # 500 segments of 2048 integers pass n = 2^16 (p_65536 = 821,641), so the
-    # series restarts from there, on a grid of 8192 integers
+    # series restarts from there, on a grid of 8192 integers: a checkpoint
+    # written before a change of engine.SEGMENT_SLOTS still resumes
     base = ["en-sum", "--limit", "2e5", "--c", "3", "--workers", "1"]
     assert run_cli(base + ["--output", "full.csv"], tmp_path, monkeypatch) == 0
-    assert run_cli(base + ["--segment-size", "1024", "--checkpoint-dir", "ck",
-                           "--stop-after-segments", "500"], tmp_path, monkeypatch) == 0
+    set_segment_slots(1024)
+    assert run_cli(base + ["--checkpoint-dir", "ck", "--stop-after-segments", "500"],
+                   tmp_path, monkeypatch) == 0
     ckpt = tmp_path / "ck" / "gapsum-en-sum.ckpt"
     assert checkpoint.load(str(ckpt)).state.next_n == 1 << 16
-    assert run_cli(base + ["--segment-size", "4096", "--resume", str(ckpt),
-                           "--output", "resumed.csv"], tmp_path, monkeypatch) == 0
+    set_segment_slots(4096)
+    assert run_cli(base + ["--resume", str(ckpt), "--output", "resumed.csv"],
+                   tmp_path, monkeypatch) == 0
     assert read_csv(tmp_path / "resumed.csv")[1] == read_csv(tmp_path / "full.csv")[1]
 
 

@@ -3,10 +3,10 @@
 Each case runs its command lines with ``--workers 1`` in an empty working
 directory, then compares every file left there, and the captured stdout
 with run times masked, byte for byte against ``tests/golden/<case>/``.
-The checkpoint cases keep the file written at a stop after 1024-slot
-segments (for ``en-sum``, 500 of them, past its first chunk boundary at
-n = 2^16), so a change to the checkpoint format or its configuration
-digest shows.
+The checkpoint cases run with ``engine.SEGMENT_SLOTS`` patched to 1024 and
+keep the file written at a stop after that many segments (for ``en-sum``,
+500 of them, past its first chunk boundary at n = 2^16), so a change to the
+checkpoint format or its configuration digest shows.
 
 After an intended output change, re-record the cases it touches with
 ``PYTHONPATH=src python tests/test_cli_golden.py CASE [CASE ...]`` (every
@@ -22,6 +22,7 @@ import shutil
 import sys
 import sysconfig
 import warnings
+from unittest import mock
 
 import pytest
 
@@ -30,7 +31,7 @@ from gapsum import cli, engine
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 STDOUT = "stdout.txt"
 
-_CKPT = ["--segment-size", "1024", "--checkpoint-dir", "ck"]
+_CKPT = ["--checkpoint-dir", "ck"]
 
 CASES = {
     "sieve-stats": [["sieve-stats", "--limit", "1e4", "--output", "out.csv"]],
@@ -42,13 +43,13 @@ CASES = {
     ]],
     "weighted-sum-checkpoint": [
         ["weighted-sum", "--limit", "1e5", "--alpha", "1", *_CKPT, "--stop-after-segments", "1"],
-        ["weighted-sum", "--limit", "1e5", "--alpha", "1", "--segment-size", "1024",
+        ["weighted-sum", "--limit", "1e5", "--alpha", "1",
          "--resume", "ck/gapsum-weighted-sum.ckpt", "--output", "out.csv"],
     ],
     "en-sum": [["en-sum", "--limit", "1e4", "--c", "3", "--output", "out.csv"]],
     "en-sum-checkpoint": [
         ["en-sum", "--limit", "1e5", "--c", "2", *_CKPT, "--stop-after-segments", "500"],
-        ["en-sum", "--limit", "1e5", "--c", "2", "--segment-size", "1024",
+        ["en-sum", "--limit", "1e5", "--c", "2",
          "--resume", "ck/gapsum-en-sum.ckpt", "--output", "out.csv"],
     ],
     "singular-pair": [["singular-pair", "--d", "30", "--output", "out.csv"]],
@@ -80,16 +81,20 @@ CASES = {
     "sandwich": [["sandwich", "--limit", "1e4", "--d", "6", "--output", "out.csv"]],
 }
 
+# The cases that sieve 1024-slot segments, so that they stop mid-run.
+_SMALL_SEGMENTS = {"weighted-sum-checkpoint", "en-sum-checkpoint"}
+
 _ELAPSED = re.compile(r"\(\d+\.\d\ds\)")
 
 
 def run_case(name: str, workdir: pathlib.Path) -> dict[str, bytes]:
     """Run one case in ``workdir``; map each file it leaves (and stdout) to its bytes."""
     out = io.StringIO()
+    slots = 1024 if name in _SMALL_SEGMENTS else engine.SEGMENT_SLOTS
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        with contextlib.redirect_stdout(out):
+        with mock.patch.object(engine, "SEGMENT_SLOTS", slots), contextlib.redirect_stdout(out):
             for argv in CASES[name]:
                 code = cli.main(argv + ["--workers", "1"])
                 assert code == 0, f"{argv} exited {code}"

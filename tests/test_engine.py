@@ -331,10 +331,11 @@ def test_tuple_counts_match_brute_force(oracle_prime_set_1e5):
         assert value == oracles.tuple_count(50_000, offsets, oracle_prime_set_1e5), offsets
 
 
-def test_tuple_count_offset_wider_than_segment(oracle_prime_set_1e5):
+def test_tuple_count_offset_wider_than_segment(oracle_prime_set_1e5, set_segment_slots):
     # the shifted-mask lookup must survive offsets larger than a segment
+    set_segment_slots(1 << 12)  # span 8192
     h = (0, 30_000)
-    got = engine.tuple_count(90_000, h, segment_slots=1 << 12)  # span 8192
+    got = engine.tuple_count(90_000, h)
     assert got == oracles.tuple_count(90_000, h, oracle_prime_set_1e5)
 
 
@@ -387,40 +388,34 @@ def test_gap_record_invariants():
             assert rec.gap % 2 == 0
 
 
-def test_determinism_across_workers_and_segment_sizes(oracle_primes_1e5):
+def test_determinism_across_workers_and_segment_sizes(oracle_primes_1e5, set_segment_slots):
     reference = list(engine.primes_up_to(300_000, workers=1))
     for workers, slots in [(1, 1 << 12), (2, 1 << 14), (4, 1 << 16), (3, 1 << 10)]:
-        got = list(engine.primes_up_to(300_000, workers=workers, segment_slots=slots))
+        set_segment_slots(slots)
+        got = list(engine.primes_up_to(300_000, workers=workers))
         assert got == reference
-    counts = {
-        engine.tuple_count(200_000, (0, 2), workers=w, segment_slots=s)
-        for w, s in [(1, 1 << 12), (2, 1 << 15), (4, 1 << 18)]
-    }
+    counts = set()
+    for w, s in [(1, 1 << 12), (2, 1 << 15), (4, 1 << 18)]:
+        set_segment_slots(s)
+        counts.add(engine.tuple_count(200_000, (0, 2), workers=w))
     assert len(counts) == 1
     # small segments put many gaps across segment boundaries, which the
     # parent adds to the workers' histograms
     for x in (100_000, 2051):  # 2051 = 7 * 293 alone in a prime-free last segment
         histogram = oracles.gap_histogram(x, oracle_primes_1e5)
         for workers, slots in [(1, 1 << 10), (2, 1 << 10), (3, 1 << 12), (1, 1 << 18)]:
-            got = engine.consecutive_gap_counts(x, workers=workers, segment_slots=slots)
+            set_segment_slots(slots)
+            got = engine.consecutive_gap_counts(x, workers=workers)
             assert got.counts == histogram, (x, workers, slots)
     # prime blocks are rebuilt from the workers' uint16 gaps
     for x in (100_000, 2051):
         expected = [p for p in oracle_primes_1e5 if 2 < p <= x]
         for workers in (1, 2, 3):
             for slots in (1 << 10, 1 << 12):
-                blocks = list(engine.prime_blocks(x, workers=workers, segment_slots=slots))
+                set_segment_slots(slots)
+                blocks = list(engine.prime_blocks(x, workers=workers))
                 assert all(block.dtype == np.int64 for block in blocks)
                 assert np.concatenate(blocks).tolist() == expected, (x, workers, slots)
-
-
-def test_segment_slots_validation():
-    with pytest.raises(ValidationError):
-        engine.prime_count(1000, segment_slots=3000)  # not a power of two
-    with pytest.raises(ValidationError):
-        engine.prime_count(1000, segment_slots=512)
-    with pytest.raises(ValidationError):
-        engine.prime_count(1000, segment_slots=4096.0)
 
 
 def test_non_integer_limit_rejected():
@@ -452,14 +447,15 @@ def test_prime_value_bound_is_an_upper_bound(oracle_primes_1e5):
         assert oracle_primes_1e5[n - 1] <= engine._prime_value_bound(n)
 
 
-def test_gap_blocks_restart_from_segment_boundary():
+def test_gap_blocks_restart_from_segment_boundary(set_segment_slots):
     slots = 1 << 12
-    full = list(engine.gap_blocks(prime_limit=100_000, segment_slots=slots))
+    set_segment_slots(slots)
+    full = list(engine.gap_blocks(prime_limit=100_000))
     head = full[:4]  # resume after four segments, as a checkpoint records them
     last = head[-1]
     assert last.seg_end == 3 + 4 * 2 * slots
     tail = list(engine.gap_blocks(
-        prime_limit=100_000, segment_slots=slots, start_lo=last.seg_end,
+        prime_limit=100_000, start_lo=last.seg_end,
         init_last=last.last_prime, init_n=last.n0 + len(last.gaps),
     ))
     stitched = head + tail
@@ -508,13 +504,14 @@ def test_every_alpha_reads_one_gap_pass(monkeypatch, oracle_primes_1e5):
     assert hist.counts == oracles.gap_histogram(100_000, oracle_primes_1e5)
 
 
-def test_each_gap_pass_is_sieved_once(monkeypatch, oracle_primes_1e5):
+def test_each_gap_pass_is_sieved_once(monkeypatch, oracle_primes_1e5, set_segment_slots):
     calls = _record_passes(monkeypatch)
     expected = oracles.gap_histogram(100_000, oracle_primes_1e5)
     passes = [(1, 1 << 10), (2, 1 << 10), (1, 1 << 12)]
     for _ in range(2):
         for workers, slots in passes:
-            got = engine.consecutive_gap_counts(100_000, workers=workers, segment_slots=slots)
+            set_segment_slots(slots)
+            got = engine.consecutive_gap_counts(100_000, workers=workers)
             assert got.counts == expected, (workers, slots)
     assert calls == [(engine._worker_gaps, 100_000)] * len(passes)
 
@@ -540,16 +537,17 @@ def test_failed_gap_pass_is_not_remembered(monkeypatch, oracle_primes_1e5):
     assert got.counts == oracles.gap_histogram(100_000, oracle_primes_1e5)
 
 
-# An index pass over many segments: N = 20,000 sieves to 244,185, 2048 integers a segment.
-_SMALL_SEGMENTS = dict(workers=1, segment_slots=1 << 10)
-_INDEX_PASS = dict(index_limit=20_000, **_SMALL_SEGMENTS)
+# An index pass over many segments: N = 20,000 sieves to 244,185, 2048
+# integers a segment at 2^10 slots.
+_INDEX_PASS = dict(index_limit=20_000, workers=1)
 
 
 def _fields(blocks) -> list:
     return [(b.n0, b.gaps.dtype, b.gaps.tolist(), b.last_prime, b.seg_end) for b in blocks]
 
 
-def test_kept_index_stream_replays_the_sieved_blocks(monkeypatch):
+def test_kept_index_stream_replays_the_sieved_blocks(monkeypatch, set_segment_slots):
+    set_segment_slots(1 << 10)
     calls = _record_passes(monkeypatch)
     sieved = _fields(engine.gap_blocks(**_INDEX_PASS))
     next(engine.gap_blocks(**_INDEX_PASS)).gaps[:] = 0  # a replayed block is a fresh copy
@@ -561,7 +559,8 @@ def test_kept_index_stream_replays_the_sieved_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("budget, passes", [(19_999, 2), (20_000, 1)])
-def test_kept_stream_budget(monkeypatch, budget, passes):
+def test_kept_stream_budget(monkeypatch, budget, passes, set_segment_slots):
+    set_segment_slots(1 << 10)
     monkeypatch.setattr(engine, "_KEPT_STREAM_GAPS", budget)
     calls = _record_passes(monkeypatch)
     runs = [_fields(engine.gap_blocks(**_INDEX_PASS)) for _ in range(2)]
@@ -569,7 +568,8 @@ def test_kept_stream_budget(monkeypatch, budget, passes):
     assert runs[1] == runs[0]
 
 
-def test_unfinished_or_other_passes_keep_nothing(monkeypatch):
+def test_unfinished_or_other_passes_keep_nothing(monkeypatch, set_segment_slots):
+    set_segment_slots(1 << 10)
     n_blocks = len(list(engine.gap_blocks(**_INDEX_PASS)))
     engine._kept_stream.clear()
     for taken in (1, n_blocks):  # closed early, and closed at its last block
@@ -591,7 +591,7 @@ def test_unfinished_or_other_passes_keep_nothing(monkeypatch):
         list(engine.gap_blocks(**_INDEX_PASS))
     assert not engine._kept_stream
     monkeypatch.setattr(engine, "_worker_gaps", real_worker)
-    list(engine.gap_blocks(prime_limit=250_000, workers=1, segment_slots=1 << 10))
+    list(engine.gap_blocks(prime_limit=250_000, workers=1))
     assert not engine._kept_stream  # prime mode
     # a finished one-segment index pass is kept like any other
     one_segment = _fields(engine.gap_blocks(index_limit=1, workers=1))
@@ -601,46 +601,49 @@ def test_unfinished_or_other_passes_keep_nothing(monkeypatch):
     assert calls == [] and one_segment[0][:3] == (1, np.uint16, [1])
 
 
-def test_other_workers_or_segment_size_sieve_again(monkeypatch):
+def test_other_workers_or_segment_size_sieve_again(monkeypatch, set_segment_slots):
     calls = _record_passes(monkeypatch)
     passes = [(1, 1 << 10), (2, 1 << 10), (1, 1 << 11), (1, 1 << 11), (1, 1 << 10)]
-    runs = [_fields(engine.gap_blocks(index_limit=20_000, workers=w, segment_slots=s))
-            for w, s in passes]
+    runs = []
+    for w, s in passes:
+        set_segment_slots(s)
+        runs.append(_fields(engine.gap_blocks(index_limit=20_000, workers=w)))
     # the fourth replays the third; only the last stream is kept, so the fifth sieves
     assert len(calls) == 4
     assert runs[1] == runs[4] == runs[0]
     assert runs[3] == runs[2]
 
 
-def test_corollary_c_values_share_one_pass(monkeypatch):
+def test_corollary_c_values_share_one_pass(monkeypatch, set_segment_slots):
+    set_segment_slots(1 << 10)
     fresh = []
     for c in (0.0, 2.0, 3.0):
         engine._kept_stream.clear()
-        fresh.append(verify.corollary_ratio(20_000, c, **_SMALL_SEGMENTS).to_csv_row())
+        fresh.append(verify.corollary_ratio(20_000, c, workers=1).to_csv_row())
     engine._kept_stream.clear()
     calls = _record_passes(monkeypatch)
-    shared = [verify.corollary_ratio(20_000, c, **_SMALL_SEGMENTS).to_csv_row()
-              for c in (0.0, 2.0, 3.0)]
+    shared = [verify.corollary_ratio(20_000, c, workers=1).to_csv_row() for c in (0.0, 2.0, 3.0)]
     assert len(calls) == 1
     assert shared == fresh
 
 
-def test_theorem1_between_corollaries_keeps_the_stream(monkeypatch):
+def test_theorem1_between_corollaries_keeps_the_stream(monkeypatch, set_segment_slots):
+    set_segment_slots(1 << 10)
     calls = _record_passes(monkeypatch)
-    verify.corollary_ratio(20_000, 3.0, **_SMALL_SEGMENTS)
-    verify.theorem1_ratio(20_000, -1.0, **_SMALL_SEGMENTS)
-    verify.corollary_ratio(20_000, 2.0, **_SMALL_SEGMENTS)
+    verify.corollary_ratio(20_000, 3.0, workers=1)
+    verify.theorem1_ratio(20_000, -1.0, workers=1)
+    verify.corollary_ratio(20_000, 2.0, workers=1)
     assert [limit for _, limit in calls] == [engine._sieve_limit(None, 20_000)[0], 20_000]
 
 
 def test_index_pass_segments_follow_the_sieve_bound():
-    # index 5e8 sieves to about 1.15e10, past 2^33, where segments double
-    assert engine.effective_segment_slots(5 * 10**8) == 1 << 20
-    for limits, slots in (({"index_limit": 5 * 10**8}, 1 << 21),
-                          ({"index_limit": 5 * 10**8, "segment_slots": 1 << 18}, 1 << 18),
-                          ({"prime_limit": 5 * 10**8}, 1 << 20)):
+    # index 5e8 sieves to about 1.15e10, past 2^33, in segments of the same
+    # size as a pass to 5e8 (the compiled kernel is slower in larger ones)
+    for limit in (10**9, 2**37, 2**63 - 1):
+        assert engine.effective_segment_slots(limit) == 1 << 20
+    for limits in ({"index_limit": 5 * 10**8}, {"prime_limit": 5 * 10**8}):
         blocks = engine.gap_blocks(**limits, workers=1)
-        assert next(blocks).seg_end == 3 + 2 * slots, limits
+        assert next(blocks).seg_end == 3 + 2 * (1 << 20), limits
         blocks.close()
 
 
@@ -659,13 +662,14 @@ class _RecordedPool(ProcessPoolExecutor):
         super().shutdown(wait=wait, cancel_futures=cancel_futures)
 
 
-def test_early_closed_pool_pass_cancels_its_queued_segments(tmp_path, monkeypatch):
+def test_early_closed_pool_pass_cancels_its_queued_segments(tmp_path, monkeypatch,
+                                                           set_segment_slots):
     monkeypatch.setattr(engine, "ProcessPoolExecutor", _RecordedPool)
     monkeypatch.setattr(_RecordedPool, "shutdowns", [])
     workers, slots = 2, 1 << 10
+    set_segment_slots(slots)
     window = 2 * workers + 2
-    segments = engine._segment_map(_record_task, 10**6, workers=workers,
-                                   segment_slots=slots, extra=(str(tmp_path),))
+    segments = engine._segment_map(_record_task, 10**6, workers=workers, extra=(str(tmp_path),))
     assert next(segments) == (3 + 2 * slots, 3)
     segments.close()
     assert _RecordedPool.shutdowns == [(True, True)]
@@ -694,17 +698,17 @@ class _StubPool:
         pass
 
 
-def test_pool_is_no_larger_than_the_pass(monkeypatch):
+def test_pool_is_no_larger_than_the_pass(monkeypatch, set_segment_slots):
     # a forked ProcessPoolExecutor starts every worker at its first submit
     monkeypatch.setattr(engine, "ProcessPoolExecutor", _StubPool)
     monkeypatch.setattr(_StubPool, "sizes", [])
     slots = 1 << 10
+    set_segment_slots(slots)
     limit = 3 + 3 * 2 * slots - 1  # three segments
-    serial = list(engine._segment_map(engine._worker_gaps, limit, workers=1, segment_slots=slots))
+    serial = list(engine._segment_map(engine._worker_gaps, limit, workers=1))
     assert len(serial) == 3
     for workers in (2, 3, 16):
-        pooled = list(engine._segment_map(engine._worker_gaps, limit, workers=workers,
-                                          segment_slots=slots))
+        pooled = list(engine._segment_map(engine._worker_gaps, limit, workers=workers))
         assert [end for end, _ in pooled] == [end for end, _ in serial]
         for (_, got), (_, want) in zip(pooled, serial):
             assert got[:2] == want[:2] and np.array_equal(got[2], want[2])

@@ -209,8 +209,9 @@ def test_snapshot_determinism_across_workers():
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.0])
-def test_resume_reproduces_bits(alpha):
-    kwargs = dict(prime_limit=2_000_000, snapshot_limits=[10**5, 10**6], segment_slots=1 << 14)
+def test_resume_reproduces_bits(alpha, set_segment_slots):
+    set_segment_slots(1 << 14)
+    kwargs = dict(prime_limit=2_000_000, snapshot_limits=[10**5, 10**6])
     full = sums.weighted_gap_sum_series(WeightSpec(alpha), **kwargs)
     states = []
     with pytest.raises(sums.RunInterrupted):
@@ -228,10 +229,11 @@ def test_resume_reproduces_bits(alpha):
     assert states[-1].terms == full[-1].terms
 
 
-def test_resume_reproduces_bits_index_mode():
+def test_resume_reproduces_bits_index_mode(set_segment_slots):
     # 60 segments of 2^14 integers reach n ~ 77,000, past the series' first
     # chunk boundary at n = 2^16 (p_65536 = 821,641), where its state restarts
-    kwargs = dict(snapshot_limits=[10**4, 9 * 10**4], segment_slots=1 << 13)
+    set_segment_slots(1 << 13)
+    kwargs = dict(snapshot_limits=[10**4, 9 * 10**4])
     full = sums.erdos_nathanson_series(100_000, 3.0, **kwargs)
     states = []
     with pytest.raises(sums.RunInterrupted):
@@ -254,27 +256,29 @@ def test_resume_reproduces_bits_index_mode():
     assert resumed == sums.weighted_gap_sum_series(WeightSpec(0.0), index_limit=100_000, **kwargs)
 
 
-def test_resume_of_completed_run_is_graceful():
+def test_resume_of_completed_run_is_graceful(set_segment_slots):
     runs = [  # a prime-limit weighted sum, and an index-limit series whose one segment closes it
         (lambda **kw: sums.weighted_gap_sum_series(WeightSpec(0.0), prime_limit=300_000, **kw),
          1 << 14),
         (lambda **kw: sums.erdos_nathanson_series(10, 2.0, **kw), 1 << 10),
     ]
     for series, slots in runs:
+        set_segment_slots(slots)
         states = []
-        full = series(snapshot_limits=[], segment_slots=slots, on_segment=states.append)
+        full = series(snapshot_limits=[], on_segment=states.append)
         # the last state marks a finished run; resuming from it must re-emit
         # the same final snapshot without consuming anything
-        again = series(snapshot_limits=[], segment_slots=slots, resume=states[-1])
+        again = series(snapshot_limits=[], resume=states[-1])
         assert again[-1].value == full[-1].value
         assert again[-1].terms == full[-1].terms
 
 
-# N = 20,000 sieves to 244,185 in 120 segments of 2048 integers.
-_COROLLARY = dict(workers=1, segment_slots=1 << 10)
+# N = 20,000 sieves to 244,185, in 120 segments of 2048 integers at 2^10 slots.
+_COROLLARY = dict(workers=1)
 
 
-def test_replayed_series_sees_the_same_segments():
+def test_replayed_series_sees_the_same_segments(set_segment_slots):
+    set_segment_slots(1 << 10)
     runs = []
     for _ in range(2):  # the first sieves, the second replays
         states = []
@@ -289,9 +293,10 @@ def test_replayed_series_sees_the_same_segments():
     assert stopped == runs[0][1][:7]
 
 
-def test_stopped_and_resumed_series_keep_nothing():
+def test_stopped_and_resumed_series_keep_nothing(set_segment_slots):
     # 450 segments reach n ~ 73,000, so the state restarts at n = 2^16, not
     # from scratch (a from-scratch pass would be kept)
+    set_segment_slots(1 << 10)
     states = []
     with pytest.raises(sums.RunInterrupted):
         sums.erdos_nathanson_series(100_000, 3.0, **_COROLLARY, on_segment=states.append,
@@ -315,9 +320,10 @@ _STOPPED_RUNS = {
 
 
 @pytest.mark.parametrize("run", list(_STOPPED_RUNS))
-def test_resume_refuses_a_limit_below_its_restart_point(run):
+def test_resume_refuses_a_limit_below_its_restart_point(run, set_segment_slots):
     series, slots, stop = _STOPPED_RUNS[run]
-    kwargs = dict(workers=1, segment_slots=slots)
+    set_segment_slots(slots)
+    kwargs = dict(workers=1)
     states = []
     with pytest.raises(sums.RunInterrupted):
         series(snapshot_limits=[10**4], **kwargs, on_segment=states.append,
@@ -333,7 +339,7 @@ def test_resume_refuses_a_limit_below_its_restart_point(run):
     assert resumed == series(snapshot_limits=[10**4], **kwargs)
 
 
-def test_float_results_stable_across_segment_sizes():
+def test_float_results_stable_across_segment_sizes(set_segment_slots):
     # weighted sums are read from the exact histogram, and the series is
     # summed in fixed n-chunks, so neither segment size nor workers move a bit
     runs = {
@@ -344,23 +350,25 @@ def test_float_results_stable_across_segment_sizes():
         "series": lambda **kw: sums.erdos_nathanson_series(200_000, 3.0, **kw),
     }
     for name, series in runs.items():
-        got = [series(segment_slots=slots, workers=workers)
-               for slots, workers in ((1 << 10, 1), (1 << 12, 2), (1 << 15, 1), (1 << 18, 2))]
+        got = []
+        for slots, workers in ((1 << 10, 1), (1 << 12, 2), (1 << 15, 1), (1 << 18, 2)):
+            set_segment_slots(slots)
+            got.append(series(workers=workers))
         assert all(run == got[0] for run in got), name
 
 
-def test_series_chunks_align_to_n():
+def test_series_chunks_align_to_n(set_segment_slots):
     # The first chunk holds n = 0 .. 2^16 - 1, with n = 0, 1, 2 as zero
     # terms, so N = 2^16 - 1 closes it with each term from n = 3 counted
     # once, and N = 2^16 and 2^16 + 1 read the next chunk's prefix
+    set_segment_slots(1 << 10)
     top = sums._CHUNK + 1
     gaps = oracles.gap_list(oracles.primes_upto(821_651))  # p_(2^16 + 2) = 821,651
     cuts = [top - 2, top - 1, top]
     for c in (0.0, 3.0):
         terms = [1.0 / (d * n * math.log(math.log(n)) ** c)
                  for n, d in enumerate(gaps[:top], start=1) if n >= 3]
-        series = sums.erdos_nathanson_series(top, c, snapshot_limits=cuts, workers=1,
-                                             segment_slots=1 << 10)
+        series = sums.erdos_nathanson_series(top, c, snapshot_limits=cuts, workers=1)
         for cut, snap in zip(cuts, series, strict=True):
             exact = math.fsum(terms[: cut - 2])
             assert snap.terms == cut - 2
@@ -416,7 +424,7 @@ def test_range_split_validation():
         sums.range_split_sum(100, WeightSpec(1.5))  # weight not decreasing
 
 
-def test_range_split_exact_and_invariant(oracle_primes_1e5):
+def test_range_split_exact_and_invariant(oracle_primes_1e5, set_segment_slots):
     # each range and each weighted-sum snapshot is the correctly rounded
     # sum of the per-gap floats, identical for every segment size and
     # worker count
@@ -444,9 +452,10 @@ def test_range_split_exact_and_invariant(oracle_primes_1e5):
         expected_index = [float(v) for v in index_cuts.values()]
         for w in (1, 2):
             for s in (1 << 10, 1 << 14, 1 << 18):
+                set_segment_slots(s)
                 weight = WeightSpec(alpha)
-                kw = dict(workers=w, segment_slots=s, snapshot_limits=grid)
-                assert sums.range_split_sum(x, weight, workers=w, segment_slots=s) == expected
+                kw = dict(workers=w, snapshot_limits=grid)
+                assert sums.range_split_sum(x, weight, workers=w) == expected
                 prime = sums.weighted_gap_sum_series(weight, prime_limit=x, **kw)
                 index = sums.weighted_gap_sum_series(weight, index_limit=len(gaps), **kw)
                 assert [snap.value for snap in prime] == expected_prime, (alpha, w, s)
