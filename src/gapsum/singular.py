@@ -50,9 +50,6 @@ _PRECISION_FLOOR = 1e-14
 
 DEFAULT_TRUNCATION = 1_000_000
 
-# pi(x) < RS_CONSTANT * x / log x for all x > 1 (Rosser-Schoenfeld).
-_RS_CONSTANT = 1.25506
-
 
 # ---------------------------------------------------------------------------
 # Tuple specifications
@@ -276,66 +273,25 @@ class RowSum(NamedTuple):
 # ---------------------------------------------------------------------------
 # The twin-prime constant
 
-def _elementary_tail_bound(p: int) -> float:
-    """Certified bound for sum_{q > p} 1/(q-1)^2.
+@lru_cache(maxsize=1)
+def _c2() -> SingularValue:
+    """C2 = prod_{p > 2} (1 - 1/(p-1)^2), the generic product for k = 2.
 
-    Two provable estimates, take the smaller:
-      * 1/(p-1), by comparison with sum_{j >= p} j^(-2)  (so <= 2/p);
-      * partial summation against pi(x) < 1.25506 x / log x.
+    Certified to ~6.6e-14 and cached per process; every pair value and
+    pair sum reads it.
     """
-    simple = 1.0 / (p - 1)
-    rs = (2 * _RS_CONSTANT / math.log(p)) * (1.0 / (p - 1) + 0.5 / (p - 1) ** 2)
-    return min(simple, rs)
+    return SingularValue(*_generic_product(2), _CONSTANT_CUTOFF)
 
 
-def _choose_direct_truncation(target: float) -> int:
-    p = 7
-    while _elementary_tail_bound(p) > target:
-        p *= 2
-        if p > 1 << 34:
-            raise CapacityError(
-                "direct product truncation beyond 2^34; use the accelerated method"
-            )
-    lo, hi = p // 2, p
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _elementary_tail_bound(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def twin_prime_constant(target_error: float | None = None) -> SingularValue:
+    """C2 = prod_{p > 2} (1 - 1/(p-1)^2) with its certified error bound.
 
-
-# Direct products by truncation; the accelerated route is cached by ``_c2``.
-_twin_cache: dict[int, SingularValue] = {}
-
-
-def twin_prime_constant(
-    target_error: float | None = None,
-    *,
-    truncation: int | None = None,
-    method: str = "auto",
-    workers: int | None = None,
-) -> SingularValue:
-    """C2 = prod_{p > 2} (1 - 1/(p-1)^2), certified to ``target_error``.
-
-    Two evaluation routes:
-
-    * ``direct``: the finite product over 2 < p <= P, streamed off the
-      sieve.  P is the smallest truncation whose certified tail bound
-      (see ``_elementary_tail_bound``) meets the target.  Feasible down
-      to ~6e-11; cost grows linearly in P.
-    * ``accelerated``: finite product to a small cutoff Q plus a
-      prime-zeta tail expansion, certified to ~1e-13 regardless of Q.
-
-    ``method="auto"`` picks direct for loose targets (>= 1e-7) and the
-    accelerated route for tight ones.  ``truncation`` overrides P or Q
-    for the chosen method and requires an explicit ``method``.
+    The value is ``_c2()``: the product over p <= 100,000 times a tail
+    expansion in the prime zeta function (Wrench, Math. Comp. 15, 1961),
+    certified to ~6.6e-14.  A ``target_error``, when given, must be
+    positive and at least 1e-14; PrecisionError is raised if the
+    certified bound exceeds it.
     """
-    if method not in ("auto", "direct", "accelerated"):
-        raise ValidationError(f"unknown method {method!r}")
-    if target_error is None and truncation is None:
-        raise ValidationError("either target_error or truncation is required")
     if target_error is not None:
         if not (target_error > 0):
             raise ValidationError("target_error must be positive")
@@ -343,44 +299,12 @@ def twin_prime_constant(
             raise PrecisionError(
                 f"cannot certify below {_PRECISION_FLOOR} in double precision"
             )
-    if truncation is not None:
-        if method == "auto":
-            raise ValidationError("an explicit truncation requires method='direct' or 'accelerated'")
-        truncation = engine._check_limit(truncation, 1, "truncation")
-    if method == "auto":
-        method = "direct" if target_error >= 1e-7 else "accelerated"
-
-    if method == "accelerated":
-        result = _c2(_CONSTANT_CUTOFF if truncation is None else truncation)
-    else:
-        p_cut = _choose_direct_truncation(target_error) if truncation is None else truncation
-        p_cut = max(p_cut, 7)
-        if p_cut > 1 << 34:
-            raise CapacityError("direct truncation beyond 2^34")
-        if p_cut not in _twin_cache:
-            parts = []
-            for block in engine.prime_blocks(p_cut, workers=workers):
-                q = block.astype(np.float64)
-                parts.append(float(np.sum(np.log1p(-((q - 1.0) ** -2)))))
-            value = math.exp(math.fsum(parts))
-            err = value * (_elementary_tail_bound(p_cut) + 1e-14)
-            _twin_cache[p_cut] = SingularValue(value, err, p_cut)
-        result = _twin_cache[p_cut]
+    result = _c2()
     if target_error is not None and result.abs_error > target_error:
         raise PrecisionError(
-            f"certified bound {result.abs_error:.3e} exceeds target {target_error:.3e} "
-            f"(method={method}, truncation={result.truncation_prime})"
+            f"certified bound {result.abs_error:.3e} exceeds target {target_error:.3e}"
         )
     return result
-
-
-@lru_cache(maxsize=8)
-def _c2(cutoff: int = _CONSTANT_CUTOFF) -> SingularValue:
-    """C2 by the accelerated route (certified ~1e-13, cached per process).
-
-    ``_c2()`` is the module's working copy.
-    """
-    return SingularValue(*_generic_product(2, cutoff), cutoff)
 
 
 # ---------------------------------------------------------------------------

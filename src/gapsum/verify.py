@@ -85,9 +85,7 @@ def main_term_theorem1(limit: int, alpha: float, mode: str) -> float:
     is X/log X by the prime number theorem, which is how the two modes
     interconvert.
     """
-    x = float(limit)
-    if x < 16:
-        raise ValidationError("main terms need X >= 16 (loglog X > 1)")
+    x = float(engine._check_limit(limit, 16))
     if not math.isfinite(alpha):
         raise ValidationError(f"alpha must be finite, got {alpha}")
     if mode not in ("prime", "index"):
@@ -109,9 +107,7 @@ def main_term_corollary(limit: int, c: float) -> float | None:
     converges to a constant with no closed form, so the prediction is a
     plateau estimate made by the caller.
     """
-    x = float(limit)
-    if x < 16:
-        raise ValidationError("main terms need X >= 16 (loglog X > 1)")
+    x = float(engine._check_limit(limit, 16))
     if not math.isfinite(c):
         raise ValidationError(f"c must be finite, got {c}")
     ll = math.log(math.log(x))
@@ -202,6 +198,8 @@ def lemma22_ratio_curve(
 
 def default_sieve_samples(count: int = 20, d_max: int = 50) -> list[tuple[int, int]]:
     """The first ``count`` admissible (h, d) pairs with 0 < h < d <= d_max."""
+    count = engine._check_limit(count, 1, "count")
+    d_max = engine._check_limit(d_max, 6, "d_max")
     out = []
     for d in range(6, d_max + 1, 2):
         for h in range(2, d, 2):

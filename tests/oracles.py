@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive and shares no code with the
 package: trial division for primality, direct loops for counts and
-sums, a per-prime segment sieve for the vectorised kernel and a
-per-prime sweep for the pair singular sums.  These are the oracles the
-library is checked against.
+sums, a per-prime segment sieve for the vectorised kernel, a
+per-prime sweep for the pair singular sums and the direct Euler product
+for the twin-prime constant.  These are the oracles the library is
+checked against.
 """
 
 from __future__ import annotations
@@ -133,6 +134,26 @@ def pair_singular_terms(x: int, c2: float) -> float:
             factor *= (m - 1) / (m - 2)
         total += 2.0 * c2 * factor
     return total
+
+
+def twin_prime_direct(prime_blocks, p_cut: int) -> tuple[float, float]:
+    """(value, bound): C2 = prod_{p > 2} (1 - 1/(p-1)^2) truncated at p_cut.
+
+    ``prime_blocks`` yields arrays of the odd primes <= p_cut, in order.
+    The log of each factor is summed per array and the array sums by
+    ``math.fsum``.  The bound is value * (tail + 1e-14), where the tail
+    bound for sum_{q > p_cut} 1/(q-1)^2 is the smaller of 1/(p_cut - 1)
+    and partial summation against pi(x) < 1.25506 x / log x
+    (Rosser-Schoenfeld); the 1e-14 covers the rounding of the sum.
+    """
+    parts = []
+    for block in prime_blocks:
+        q = np.asarray(block, dtype=np.float64)
+        parts.append(float(np.sum(np.log1p(-((q - 1.0) ** -2)))))
+    value = math.exp(math.fsum(parts))
+    simple = 1.0 / (p_cut - 1)
+    rs = (2 * 1.25506 / math.log(p_cut)) * (1.0 / (p_cut - 1) + 0.5 / (p_cut - 1) ** 2)
+    return value, value * (min(simple, rs) + 1e-14)
 
 
 def pair_sweep_weights(m_max: int, prime_list: list[int]) -> np.ndarray:

@@ -111,69 +111,43 @@ def test_twin_constant_accelerated_matches_reference():
     assert abs(sv.value - C2_REFERENCE) < 1e-13
 
 
-def test_twin_constant_direct_loose_target():
-    sv = singular.twin_prime_constant(1e-3)
-    assert sv.abs_error <= 1e-3
-    assert abs(sv.value - C2_REFERENCE) <= sv.abs_error
-
-
-def test_twin_constant_two_truncation_levels_agree():
-    a = singular.twin_prime_constant(truncation=2000, method="direct")
-    b = singular.twin_prime_constant(truncation=20_000, method="direct")
-    assert abs(a.value - b.value) <= a.abs_error + b.abs_error
-
-
-def test_twin_constant_direct_monotone_in_truncation():
-    values = [
-        singular.twin_prime_constant(truncation=p, method="direct").value
-        for p in (10_000, 100_000, 1_000_000)
-    ]
-    assert values[0] >= values[1] >= values[2]  # every factor is < 1
-
-
-def test_twin_constant_certified_bounds_shrink():
-    errs = [
-        singular.twin_prime_constant(truncation=p, method="direct").abs_error
-        for p in (10_000, 100_000, 1_000_000)
-    ]
-    assert errs[0] > errs[1] > errs[2]
-
-
 def test_twin_constant_accelerated_truncation_orders_agree():
-    a = singular.twin_prime_constant(truncation=10_000, method="accelerated")
-    b = singular.twin_prime_constant(truncation=100_000, method="accelerated")
-    assert abs(a.value - b.value) <= a.abs_error + b.abs_error
+    a = singular._generic_product(2, 10_000)
+    b = singular._generic_product(2, 100_000)
+    assert abs(a[0] - b[0]) <= a[1] + b[1]
 
 
 def test_twin_constant_direct_bounds_are_honest():
-    # the certified bound must dominate the true truncation deviation
+    # the direct product's certified bound must dominate its true
+    # truncation deviation, and its distance from the cached constant
+    c2 = singular._c2()
     for p in (10_000, 100_000, 1_000_000):
-        sv = singular.twin_prime_constant(truncation=p, method="direct")
-        true_dev = abs(sv.value - C2_REFERENCE)
-        assert true_dev <= sv.abs_error
-        assert sv.abs_error < 1e-1  # and is not vacuous
+        value, bound = oracles.twin_prime_direct(engine.prime_blocks(p), p)
+        assert abs(value - C2_REFERENCE) <= bound
+        assert abs(value - c2.value) <= bound + c2.abs_error
+        assert bound < 1e-1  # and is not vacuous
 
 
 def test_twin_constant_validation():
     with pytest.raises(ValidationError):
         singular.twin_prime_constant(-1.0)
     with pytest.raises(ValidationError):
-        singular.twin_prime_constant()
-    with pytest.raises(ValidationError):
-        singular.twin_prime_constant(1e-3, truncation=100)  # needs explicit method
+        singular.twin_prime_constant(math.nan)
     with pytest.raises(PrecisionError):
         singular.twin_prime_constant(1e-16)
-    with pytest.raises(CapacityError):
-        # direct enumeration cannot certify this tightly
-        singular.twin_prime_constant(2e-14, method="direct")
-    with pytest.raises(ValidationError):
-        singular.twin_prime_constant(truncation=10, method="accelerated")
+    with pytest.raises(PrecisionError):
+        # above the precision floor but below the certified 6.6e-14
+        singular.twin_prime_constant(5e-14)
 
 
 def test_twin_constant_cached():
-    a = singular.twin_prime_constant(1e-10)
-    b = singular.twin_prime_constant(1e-10)
-    assert a is b
+    # every target gets the one cached constant
+    for target in (None, 1e-3, 1e-10):
+        sv = singular.twin_prime_constant(target)
+        assert sv is singular._c2()
+        assert (sv.value, sv.abs_error, sv.truncation_prime) == (
+            0.6601618158468696, 6.601620138954142e-14, 100_000
+        )
 
 
 # ---------------------------------------------------------------------------

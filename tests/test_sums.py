@@ -94,8 +94,6 @@ def test_float_limits_refused():
     with pytest.raises(ValidationError):
         singular.tuple_singular((0, 2, 6), truncation=1000.9)
     with pytest.raises(ValidationError):
-        singular.twin_prime_constant(truncation=100.5, method="direct")
-    with pytest.raises(ValidationError):
         singular.residue_count((0, 2, 6), 5.9)
     with pytest.raises(ValidationError):
         verify.lemma22_ratio_curve([10], 1000.5)

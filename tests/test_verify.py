@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from gapsum import singular, sums, verify
-from gapsum.errors import ValidationError
+from gapsum.errors import CapacityError, ValidationError
 from gapsum.verify import VerificationReport
 
 
@@ -88,6 +88,10 @@ def test_default_sieve_samples():
     assert len(samples) == 20
     assert all(d <= 50 and 0 < h < d for h, d in samples)
     assert all(singular.is_admissible((0, h, d)) for h, d in samples)
+    assert verify.default_sieve_samples(1) == samples[:1]
+    for count, d_max in ((0, 50), (-1, 50), (2.5, 50), (20, 4), (20, 50.5)):
+        with pytest.raises(ValidationError):
+            verify.default_sieve_samples(count, d_max)
 
 
 def test_main_term_theorem1_formulas():
@@ -105,9 +109,11 @@ def test_main_term_theorem1_formulas():
         verify.main_term_theorem1(x, -2.0, "prime")
     with pytest.raises(ValidationError):
         verify.main_term_theorem1(15, 0.0, "prime")
-    for alpha in (math.nan, math.inf):
+    for limit, alpha in ((x, math.nan), (x, math.inf), (math.nan, 0.0), (1e6 + 0.5, 0.0)):
         with pytest.raises(ValidationError):
-            verify.main_term_theorem1(x, alpha, "prime")
+            verify.main_term_theorem1(limit, alpha, "prime")
+    with pytest.raises(CapacityError):
+        verify.main_term_theorem1(10**400, 0.0, "prime")
 
 
 def test_main_term_corollary_cases():
@@ -116,9 +122,11 @@ def test_main_term_corollary_cases():
     assert verify.main_term_corollary(x, 0.0) == pytest.approx(ll**2 / 2)
     assert verify.main_term_corollary(x, 2.0) == pytest.approx(math.log(ll))
     assert verify.main_term_corollary(x, 3.0) is None
-    for c in (math.nan, math.inf):
+    for limit, c in ((x, math.nan), (x, math.inf), (math.nan, 0.0), (1e6 + 0.5, 0.0)):
         with pytest.raises(ValidationError):
-            verify.main_term_corollary(x, c)
+            verify.main_term_corollary(limit, c)
+    with pytest.raises(CapacityError):
+        verify.main_term_corollary(10**400, 0.0)
 
 
 def test_theorem1_smoke_x16():
