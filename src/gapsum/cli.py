@@ -13,7 +13,8 @@ CSV output is locale independent ('.' decimal separator, LF endings,
 into place, so a failed run leaves no partial output.
 
 Exit codes: 0 success, 1 validation or usage error, 2 capacity or
-precision error, or a worker process that died or ran out of memory.
+precision error or a MemoryError (a worker thread's too); a crash or an
+OOM kill ends the whole process, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from decimal import Decimal, InvalidOperation
 from typing import Callable, NamedTuple
 
@@ -234,7 +234,7 @@ class Command(NamedTuple):
 
 
 _COMMON = {
-    "--workers": dict(type=int, help="worker processes (GAPSUM_WORKERS overrides)"),
+    "--workers": dict(type=int, help="worker threads (GAPSUM_WORKERS overrides)"),
     "--format": dict(choices=("csv", "json"), default="csv", dest="output_format"),
     "--output": dict(dest="output_path"),
 }
@@ -329,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(line)
             print(f"report written to {path}")
         return 0
-    except (CapacityError, PrecisionError, BrokenProcessPool, MemoryError) as exc:
+    except (CapacityError, PrecisionError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except GapsumError as exc:

@@ -3,8 +3,8 @@
 The sieve works on odd integers only.  A segment covers a span of
 ``2 * SEGMENT_SLOTS`` consecutive integers starting at an odd bound, and
 slot ``i`` of a segment based at ``lo`` represents the odd number
-``lo + 2*i``.  Segments are sieved independently (optionally by worker
-processes) and consumed strictly in increasing order, so every derived
+``lo + 2*i``.  Segments are sieved independently (optionally on worker
+threads) and consumed strictly in increasing order, so every derived
 stream (primes, gaps, counts) is identical for any worker count and any
 segment size.  ``_sieve_mask`` is the one kernel, also for the base
 primes.  ``gap_blocks`` is the one fold over the uint16 gaps the gap worker
@@ -51,7 +51,7 @@ import sys
 import sysconfig
 import tempfile
 from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -242,7 +242,7 @@ def _sieve_mask(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Worker functions (top level so they pickle under multiprocessing)
+# Worker functions, run on pool threads: each writes only arrays of its own
 
 _WIDE_GAP = "a prime gap exceeds 65535, the width of the uint16 gap transfer"
 
@@ -320,15 +320,16 @@ def _segment_map(worker, limit: int, *, workers: int | None, start_lo: int = _FI
 
     A task is ``(lo, hi, sqrt_cap, *extra)``: the odd integers in
     [lo, hi), with base primes up to ``sqrt_cap``.  With ``workers > 1``
-    the tasks run in a process pool of at most one worker per task, a
-    bounded window ahead of the consumer, but results are still yielded
+    the tasks run on at most one thread per task (the kernel releases the
+    GIL), a bounded window ahead of the consumer, but results are yielded
     in segment order, which keeps every downstream reduction
     deterministic.  No result is referenced here once it has been yielded.
     """
     workers = _resolve_workers(workers)
-    _segment_lib()  # load the kernel here, so that a forked pool inherits it
     span = 2 * SEGMENT_SLOTS
     sqrt_cap = math.isqrt(limit) + 1
+    _segment_lib()  # built or loaded here, so by one thread
+    _odd_base_primes(sqrt_cap)  # and the base primes sieved once
     tasks = [(lo, min(lo + span, limit + 1), sqrt_cap, *extra)
              for lo in range(start_lo, limit + 1, span)]
     if workers <= 1 or len(tasks) <= 1:
@@ -336,8 +337,7 @@ def _segment_map(worker, limit: int, *, workers: int | None, start_lo: int = _FI
             yield task[1], worker(task)
         return
     window = 2 * workers + 2
-    # a forked pool starts all its workers at its first submit
-    ex = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+    ex = ThreadPoolExecutor(max_workers=min(workers, len(tasks)))
     try:
         ahead = iter(tasks)
         pending = deque()
@@ -346,9 +346,8 @@ def _segment_map(worker, limit: int, *, workers: int | None, start_lo: int = _FI
                 pending.append(ex.submit(worker, queued))
             yield task[1], pending.popleft().result()
     finally:
-        # a pass closed early (index limit, stop, or a raise) cancels the
-        # tasks the pool has not yet queued for its workers; it queues up to
-        # workers + 1 beyond those running, and these still run
+        # a pass closed early (index limit, stop, or a raise) cancels every
+        # task not yet started; only those running on a thread finish
         ex.shutdown(wait=True, cancel_futures=True)
 
 

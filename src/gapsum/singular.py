@@ -288,13 +288,14 @@ def twin_prime_constant(target_error: float | None = None) -> SingularValue:
 
     The value is ``_c2()``: the product over p <= 100,000 times a tail
     expansion in the prime zeta function (Wrench, Math. Comp. 15, 1961),
-    certified to ~6.6e-14.  A ``target_error``, when given, must be
-    positive and at least 1e-14; PrecisionError is raised if the
-    certified bound exceeds it.
+    certified to ~6.6e-14.  A ``target_error``, when given, must be a
+    positive real number (not a bool) and at least 1e-14; PrecisionError
+    is raised if the certified bound exceeds it.
     """
     if target_error is not None:
-        if not (target_error > 0):
-            raise ValidationError("target_error must be positive")
+        real = isinstance(target_error, (int, float, np.integer, np.floating))
+        if isinstance(target_error, bool) or not (real and target_error > 0):
+            raise ValidationError(f"target_error must be a positive real, got {target_error!r}")
         if target_error < _PRECISION_FLOOR:
             raise PrecisionError(
                 f"cannot certify below {_PRECISION_FLOOR} in double precision"

@@ -40,8 +40,8 @@ def fresh_gap_memos():
 def set_segment_slots(monkeypatch):
     """A setter of ``engine.SEGMENT_SLOTS`` for the rest of the test.
 
-    Setting it in this process is enough: a pool forks from here, and each
-    task carries its own (lo, hi).
+    Setting it on the module is enough: a pass reads it in the caller's
+    thread, and each task carries its own (lo, hi).
     """
     def set_slots(slots: int) -> None:
         monkeypatch.setattr(engine, "SEGMENT_SLOTS", slots)

@@ -3,7 +3,7 @@ import hashlib
 import importlib.util
 import json
 import struct
-from concurrent.futures.process import BrokenProcessPool
+import threading
 from pathlib import Path
 
 import pytest
@@ -148,15 +148,26 @@ def test_non_finite_parameter_exits_1_and_leaves_no_file(args, tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("failure", [BrokenProcessPool("worker died"), MemoryError()])
-def test_worker_failure_exits_2(failure, tmp_path, monkeypatch, capsys):
-    def fail(*args, **kwargs):
-        raise failure
+@pytest.mark.parametrize("failure", [
+    # (the function that runs out of memory, the command, whether it runs in the main thread)
+    ("_worker_gaps", ["gaps-histogram", "--limit", "1e5", "--workers", "2"], False),
+    ("prime_count", ["sieve-stats", "--limit", "1e4"], True),
+])
+def test_worker_failure_exits_2(failure, tmp_path, monkeypatch, capsys, set_segment_slots):
+    name, args, in_main = failure
+    monkeypatch.delenv("GAPSUM_WORKERS", raising=False)
+    set_segment_slots(1 << 12)  # a pass to 1e5 in 13 segments
+    threads = []
 
-    monkeypatch.setattr(engine, "prime_count", fail)
-    assert run_cli(["sieve-stats", "--limit", "1e4"], tmp_path, monkeypatch) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    def fail(*args, **kwargs):
+        threads.append(threading.current_thread())
+        raise MemoryError
+
+    monkeypatch.setattr(engine, name, fail)
+    assert run_cli(args, tmp_path, monkeypatch) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
     assert list(tmp_path.iterdir()) == []
+    assert threads and all((t is threading.main_thread()) == in_main for t in threads)
 
 
 def test_sandwich_command(tmp_path, monkeypatch, capsys):

@@ -1,13 +1,14 @@
 import bisect
 import math
-import multiprocessing
 import os
 import shlex
 import shutil
 import subprocess
 import sys
 import sysconfig
-from concurrent.futures import Future, ProcessPoolExecutor
+import threading
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -648,13 +649,18 @@ def test_index_pass_segments_follow_the_sieve_bound():
 
 
 def _record_task(task):
-    """A segment task that leaves one file per run in the directory it is given."""
+    """A 20 ms segment task that leaves one file per run in the directory it is given."""
     lo, _, _, outdir = task
+    time.sleep(0.02)
     (Path(outdir) / str(lo)).touch()
     return lo
 
 
-class _RecordedPool(ProcessPoolExecutor):
+def _raise_capacity(task):
+    raise CapacityError("segment too wide")
+
+
+class _RecordedPool(ThreadPoolExecutor):
     shutdowns: list = []
 
     def shutdown(self, wait=True, *, cancel_futures=False):
@@ -662,23 +668,36 @@ class _RecordedPool(ProcessPoolExecutor):
         super().shutdown(wait=wait, cancel_futures=cancel_futures)
 
 
+def _pool_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+
+
 def test_early_closed_pool_pass_cancels_its_queued_segments(tmp_path, monkeypatch,
                                                            set_segment_slots):
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", _RecordedPool)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", _RecordedPool)
     monkeypatch.setattr(_RecordedPool, "shutdowns", [])
     workers, slots = 2, 1 << 10
     set_segment_slots(slots)
-    window = 2 * workers + 2
     segments = engine._segment_map(_record_task, 10**6, workers=workers, extra=(str(tmp_path),))
     assert next(segments) == (3 + 2 * slots, 3)
     segments.close()
     assert _RecordedPool.shutdowns == [(True, True)]
-    # the pool still runs what it had queued for its workers (up to
-    # 2 * workers + 1 tasks), but nothing past the window of 489 segments
+    # the close cancels every queued task of the window of 2 * workers + 2:
+    # only the first result and those running on a thread ran
     ran = sorted(int(f.name) for f in tmp_path.iterdir())
-    assert 1 <= len(ran) <= window
+    assert 1 <= len(ran) <= 2 * workers
     assert ran == [3 + 2 * slots * k for k in range(len(ran))]
-    assert not multiprocessing.active_children()
+    assert not _pool_threads()
+
+
+def test_pool_pass_worker_error_reaches_the_caller(monkeypatch, set_segment_slots):
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", _RecordedPool)
+    monkeypatch.setattr(_RecordedPool, "shutdowns", [])
+    set_segment_slots(1 << 10)
+    with pytest.raises(CapacityError, match="segment too wide"):
+        list(engine._segment_map(_raise_capacity, 10**6, workers=2))
+    assert _RecordedPool.shutdowns == [(True, True)]
+    assert not _pool_threads()
 
 
 class _StubPool:
@@ -699,8 +718,8 @@ class _StubPool:
 
 
 def test_pool_is_no_larger_than_the_pass(monkeypatch, set_segment_slots):
-    # a forked ProcessPoolExecutor starts every worker at its first submit
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", _StubPool)
+    # a pass asks for no more threads than it has segments
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", _StubPool)
     monkeypatch.setattr(_StubPool, "sizes", [])
     slots = 1 << 10
     set_segment_slots(slots)
@@ -713,3 +732,25 @@ def test_pool_is_no_larger_than_the_pass(monkeypatch, set_segment_slots):
         for (_, got), (_, want) in zip(pooled, serial):
             assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
     assert _StubPool.sizes == [2, 3, 3]
+
+
+@pytest.mark.parametrize("lib", [engine._segment_lib, lambda: None], ids=["compiled", "numpy"])
+def test_threads_beyond_the_cores_match_one_worker(lib, monkeypatch, set_segment_slots):
+    # eight threads on a short switch interval, racing to fill the wheel tile,
+    # still give the gaps and tuple counts of a pass in the caller's thread
+    monkeypatch.setattr(engine, "_segment_lib", lib)
+    set_segment_slots(1 << 10)
+    limit, tuples = 300_000, [(0,), (0, 2), (0, 2, 6)]
+    want_gaps = [b.gaps.tolist() for b in engine.gap_blocks(prime_limit=limit, workers=1)]
+    want_counts = engine.tuple_counts(limit, tuples, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            engine._wheel_pattern.cache_clear()
+            got = [b.gaps.tolist() for b in engine.gap_blocks(prime_limit=limit, workers=8)]
+            assert got == want_gaps
+            assert engine.tuple_counts(limit, tuples, workers=8) == want_counts
+    finally:
+        sys.setswitchinterval(interval)
+    assert not _pool_threads()

@@ -129,10 +129,9 @@ def test_twin_constant_direct_bounds_are_honest():
 
 
 def test_twin_constant_validation():
-    with pytest.raises(ValidationError):
-        singular.twin_prime_constant(-1.0)
-    with pytest.raises(ValidationError):
-        singular.twin_prime_constant(math.nan)
+    for bad in (-1.0, math.nan, "x", True, False, 1e-3j):
+        with pytest.raises(ValidationError):
+            singular.twin_prime_constant(bad)
     with pytest.raises(PrecisionError):
         singular.twin_prime_constant(1e-16)
     with pytest.raises(PrecisionError):
