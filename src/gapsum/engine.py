@@ -7,22 +7,34 @@ slot ``i`` of a segment based at ``lo`` represents the odd number
 threads) and consumed strictly in increasing order, so every derived
 stream (primes, gaps, counts) is identical for any worker count and any
 segment size.  ``_sieve_mask`` is the one kernel, also for the base
-primes.  ``gap_blocks`` is the one fold over the uint16 gaps the gap worker
-sends, 2 bytes a prime, and ``prime_blocks`` reads it; the tuple worker
-counts tuples, ``prime_count`` that of (0,).
+primes.  Two folds read the segments.  ``gap_blocks`` is the one gap stream,
+over the uint16 gaps the gap worker sends, 2 bytes a prime, and
+``prime_blocks`` reads it.  ``_count_pass`` is the one counting pass: its
+worker counts tuples and, when asked, bins the gaps of its segment, so
+``tuple_counts`` (``prime_count`` counts the tuple (0,)) and
+``consecutive_gap_counts`` share it.
 
-Two steps of a segment run in C when they can: ``_segment.c``'s
+Three steps of a segment run in C when they can.  ``_segment.c``'s
 ``cross_off`` clears the multiples of the base primes, those below 8192 one
-32 KiB block at a time, and its ``pack_gaps`` reads the gap worker's primes
-64 slots to a word.  ``_segment_lib`` compiles the file on first use and
-caches the library in ``__pycache__``; the wheel tile, the start offsets
-and everything after the gaps stay in numpy.  Where the library does not
+32 KiB block at a time; its ``pack_gaps`` reads the gap worker's primes 64
+slots to a word; and its ``count_words`` packs the counting worker's mask
+into 64-slot words once, counts every tuple by ANDing shifted words, and
+bins the gaps from the same words.  ``_segment_lib`` compiles the file on
+first use and caches the library in ``__pycache__``; the wheel tile, the
+start offsets and both folds stay in numpy.  Where the library does not
 build or load, the numpy code does the same work with the same results,
-and the tests use it as the reference: a strided slice assignment per
-base prime, then ``np.flatnonzero`` and ``_pack_gaps``.
+and the tests use it as the reference: a strided slice assignment per base
+prime, then ``np.flatnonzero`` and ``_pack_gaps`` for the gaps, and
+``_count_bytes`` (one byte AND per offset, and a bincount of the slot
+distances) for the counts.  A pass of the tuple (0,) alone counts the
+mask bytes on either path.
 
-``consecutive_gap_counts`` keeps its last eight histograms, each keyed by
-its pass, so a process sieves each such pass at most once while it is kept.
+The counting pass keeps the gap histograms of its last eight limits, each
+keyed by its pass, whenever it made one: every pass with no tuples or with
+a tuple of two or more offsets does, if none is kept for its key.  So a
+process sieves each limit's histogram at most once while it is kept, and
+not at all after a tuple pass to the same limit.
+
 The n-dependent sums need the gaps themselves, so ``gap_blocks`` keeps the
 last finished from-scratch index stream of at most 2^24 gaps, one byte a
 gap, and replays it for the next pass with the same sieve bound, index
@@ -164,10 +176,10 @@ def _build_segment_library(command: Sequence[str], path: Path) -> None:
 
 @lru_cache(maxsize=1)
 def _segment_lib() -> ctypes.CDLL | None:
-    """The compiled ``cross_off`` and ``pack_gaps``, or None for the numpy path.
+    """The compiled ``cross_off``, ``pack_gaps`` and ``count_words``, or None for numpy.
 
-    numpy runs on a big-endian host (``pack_gaps`` reads eight mask bytes
-    as one word), and when sysconfig names no compiler or the build or the
+    numpy runs on a big-endian host (``pack_gaps`` and ``count_words`` read
+    eight mask bytes as one word), and when sysconfig names no compiler or the build or the
     load fails.  The outputs are the same either way.
     """
     cc = sysconfig.get_config_var("CC")
@@ -191,6 +203,11 @@ def _segment_lib() -> ctypes.CDLL | None:
         np.ctypeslib.ndpointer(np.uint16, flags=("C_CONTIGUOUS", "WRITEABLE")), out64s,
     ]
     lib.pack_gaps.restype = ctypes.c_int64
+    lib.count_words.argtypes = [
+        np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS"), ctypes.c_int64, int64s, int64s,
+        int64s, ctypes.c_int64, out64s, ctypes.c_int64, out64s, out64s,
+    ]
+    lib.count_words.restype = ctypes.c_int64
     return lib
 
 
@@ -288,30 +305,77 @@ def _pack_gaps(lo: int, slots: np.ndarray) -> tuple[int, int, np.ndarray]:
     return first, last, gaps
 
 
-def _worker_tuple_counts(task: tuple[int, int, int, int, tuple[tuple[int, ...], ...]]) -> np.ndarray:
-    """Count tuple starts n in [lo, hi) with n + h_max <= limit, per tuple.
+# Bins of a segment's gap histogram, by distance in slots (d / 2): gaps to
+# 2046.  The gaps below 2^64 are at most 1,550 (OEIS A005250); a wider one
+# raises rather than land in a wrong bin.
+_HIST_BINS = 1024
+_WIDE_BIN = "a prime gap exceeds 2046, the width of the gap histogram"
 
-    The segment mask is sieved with an extension of max(h)/2 slots past
-    ``hi`` so shifted lookups never cross a segment boundary.
+
+def _worker_counts(task: tuple[int, int, int, int, tuple[tuple[int, ...], ...], bool]
+                   ) -> tuple[np.ndarray, np.ndarray | None, int | None, int | None]:
+    """Tuple counts of [lo, hi), and with ``histogram`` the gaps between its primes.
+
+    Counts the starts n in [lo, hi) with n + max(h) <= limit, per tuple;
+    the mask is sieved max(h)/2 slots past ``hi`` so shifted reads never
+    cross into another segment.  Returns (counts, histogram, first prime,
+    last prime).  The histogram counts the primes of [lo, hi) by their
+    distance in slots from the one before; it and the primes are None
+    unless the histogram was asked for and [lo, hi) holds a prime.
     """
-    lo, hi, sqrt_cap, limit, tuples = task
-    ext = max(h[-1] for h in tuples)
-    hi_ext = min(hi + ext, limit + 1)
+    lo, hi, sqrt_cap, limit, tuples, histogram = task
+    hi_ext = min(hi + max((h[-1] for h in tuples), default=0), limit + 1)
     mask = _sieve_mask(lo, hi_ext, _odd_base_primes(sqrt_cap))
-    out = np.zeros(len(tuples), dtype=np.int64)
+    cores = [max(0, (min(hi, limit - h[-1] + 1) - lo + 1) // 2) for h in tuples]
+    core = (hi - lo + 1) // 2 if histogram else 0
+    lib = _segment_lib()
+    if lib is not None and (histogram or max(map(len, tuples), default=0) > 1):
+        counts, hist, ends = _count_words(lib, mask, tuples, cores, core)
+    else:
+        counts, hist, ends = _count_bytes(mask, tuples, cores, core)
+    if not histogram or ends[0] < 0:
+        return counts, None, None, None
+    return counts, hist, lo + 2 * ends[0], lo + 2 * ends[1]
+
+
+def _count_words(lib: ctypes.CDLL, mask: np.ndarray, tuples, cores: list[int], core: int
+                 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """``_count_bytes`` by the compiled ``count_words``, from the mask packed into words."""
+    shifts = np.array([h // 2 for offsets in tuples for h in offsets], dtype=np.int64)
+    starts = np.cumsum([0, *map(len, tuples)], dtype=np.int64)
+    counts = np.empty(len(tuples), dtype=np.int64)
+    hist = np.zeros(_HIST_BINS, dtype=np.int64)
+    ends = np.empty(2, dtype=np.int64)
+    status = lib.count_words(mask, len(mask), shifts, starts, np.array(cores, dtype=np.int64),
+                             len(tuples), counts, core, hist, ends)
+    if status == -2:
+        raise MemoryError
+    if status < 0:
+        raise CapacityError(_WIDE_BIN)
+    return counts, hist, ends.tolist()
+
+
+def _count_bytes(mask: np.ndarray, tuples, cores: list[int], core: int
+                 ) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
+    """Per tuple, the slots i < its core with every mask[i + h/2] set; and the
+    histogram of slot distances between the set slots of mask[:core], with
+    the first and last of them (-1 if none), when ``core`` > 0."""
+    counts = np.zeros(len(tuples), dtype=np.int64)
     # one buffer for every tuple of two or more offsets; (0,) counts the mask itself
-    scratch = np.empty((hi - lo + 1) // 2 if max(map(len, tuples)) > 1 else 0, dtype=bool)
-    for j, offsets in enumerate(tuples):
-        hmax = offsets[-1]
-        top = min(hi, limit - hmax + 1)  # n must satisfy n + hmax <= limit
-        core = (top - lo + 1) // 2
-        if core <= 0:
-            continue
-        acc = mask[:core]  # a view, so a one-offset tuple counts without a copy
+    scratch = np.empty(max(cores, default=0) if max(map(len, tuples), default=0) > 1 else 0,
+                       dtype=bool)
+    for j, (offsets, n) in enumerate(zip(tuples, cores)):
+        acc = mask[:n]  # a view, so a one-offset tuple counts without a copy
         for h in offsets[1:]:
-            acc = np.logical_and(acc, mask[h // 2 : h // 2 + core], out=scratch[:core])
-        out[j] = int(np.count_nonzero(acc))
-    return out
+            acc = np.logical_and(acc, mask[h // 2 : h // 2 + n], out=scratch[:n])
+        counts[j] = int(np.count_nonzero(acc))
+    slots = np.flatnonzero(mask[:core])
+    if not len(slots):
+        return counts, None, [-1, -1]
+    hist = np.bincount(np.diff(slots), minlength=_HIST_BINS)
+    if len(hist) > _HIST_BINS:
+        raise CapacityError(_WIDE_BIN)
+    return counts, hist, [int(slots[0]), int(slots[-1])]
 
 
 def _segment_map(worker, limit: int, *, workers: int | None, start_lo: int = _FIRST_ODD,
@@ -539,29 +603,59 @@ def _gap_counter(gaps: np.ndarray) -> Counter:
     return Counter({d: c for d, c in enumerate(np.bincount(gaps).tolist()) if c})
 
 
-@lru_cache(maxsize=8)
-def _gap_histogram(limit: int, workers: int, slots: int) -> tuple[tuple[int, int], ...]:
-    """Sorted (d, N(d)) pairs of one gap pass, kept for the next identical pass.
-
-    The histogram does not depend on ``workers`` or ``slots`` (the
-    ``SEGMENT_SLOTS`` it was sieved with); the key holds them so that every
-    distinct pass is still sieved once.  A pass that raises caches nothing.
-    """
-    blocks = gap_blocks(prime_limit=limit, workers=workers)
-    hist = sum((_gap_counter(block.gaps) for block in blocks), Counter())
-    return tuple(sorted(hist.items()))
+# The histograms of the last eight counting passes that made one, keyed by
+# (limit, workers, SEGMENT_SLOTS): sorted (d, N(d)) pairs.  The histogram
+# does not depend on the workers or the segment size; the key holds them so
+# that every distinct pass is still sieved once.
+_GAP_HISTOGRAMS = 8
+_gap_histograms: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = {}
 
 
 def consecutive_gap_counts(limit: int, *, workers: int | None = None) -> GapHistogram:
     """Histogram of consecutive gaps d_n with p_{n+1} <= limit; the integer fold is exact.
 
-    Within a process, a repeated call with the same limit, worker count and
-    ``SEGMENT_SLOTS`` reads the first call's histogram instead of sieving again
-    (``_gap_histogram``); every call gets a fresh ``counts`` dict.
+    It is the counting pass with no tuples, unless a pass to the same limit
+    with the same worker count and ``SEGMENT_SLOTS`` has already made it in
+    this process: any tuple pass of two or more offsets does, so theorem 1,
+    the sandwich and ``gaps-histogram`` read what an earlier pass stored.
+    Every call gets a fresh ``counts`` dict.
     """
     limit = _check_limit(limit, 3)
     workers = _resolve_workers(workers)
-    return GapHistogram(limit, dict(_gap_histogram(limit, workers, SEGMENT_SLOTS)))
+    key = (limit, workers, SEGMENT_SLOTS)
+    if key not in _gap_histograms:
+        _count_pass(limit, (), workers)
+    return GapHistogram(limit, dict(_gap_histograms[key]))
+
+
+def _count_pass(limit: int, tuples: tuple[tuple[int, ...], ...], workers: int) -> list[int]:
+    """The counts of ``tuples`` over the odd starts to ``limit``, in one pass.
+
+    The pass also makes the gap histogram to ``limit`` when none is kept for
+    its key and it packs the mask into words anyway: for a tuple of two or
+    more offsets, or for no tuples at all.  It keeps the histogram once the
+    pass has finished.  A pass of (0,) alone counts the mask bytes.
+    """
+    key = (limit, workers, SEGMENT_SLOTS)
+    packs = not tuples or max(map(len, tuples)) > 1
+    histogram = packs and key not in _gap_histograms
+    counts = np.zeros(len(tuples), dtype=np.int64)
+    bins = np.zeros(_HIST_BINS, dtype=np.int64)
+    crossing = Counter()  # the gap into each segment, from 2 -> 3 on
+    last = 2
+    for _, (part, hist, first, top) in _segment_map(_worker_counts, limit, workers=workers,
+                                                     extra=(limit, tuples, histogram)):
+        counts += part
+        if first is not None:
+            bins += hist
+            crossing[first - last] += 1
+            last = top
+    if histogram:
+        gaps = Counter({2 * k: c for k, c in enumerate(bins.tolist()) if c}) + crossing
+        while len(_gap_histograms) >= _GAP_HISTOGRAMS:
+            del _gap_histograms[next(iter(_gap_histograms))]
+        _gap_histograms[key] = tuple(sorted(gaps.items()))
+    return counts.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +703,9 @@ def tuple_counts(limit: int, tuple_list: Sequence, *, workers: int | None = None
 
     Counts n with n + max(H) <= limit such that n + h is prime for every
     offset h.  The start n = 2 is checked directly; the sieve counts the
-    odd starts, which only tuples of even offsets can have.
+    odd starts, which only tuples of even offsets can have.  A pass for a
+    tuple of two or more offsets also keeps the gap histogram to ``limit``
+    for ``consecutive_gap_counts``.
     """
     limit = _check_limit(limit, 2)
     normalized = [_normalize_offsets(h) for h in tuple_list]
@@ -617,12 +713,8 @@ def tuple_counts(limit: int, tuple_list: Sequence, *, workers: int | None = None
     sieved = [j for j, h in enumerate(normalized)
               if h[-1] + 3 <= limit and not any(x % 2 for x in h)]
     if sieved:
-        tuples = tuple(normalized[j] for j in sieved)
-        total = np.zeros(len(tuples), dtype=np.int64)
-        for _, part in _segment_map(_worker_tuple_counts, limit, workers=workers,
-                                    extra=(limit, tuples)):
-            total += part
-        for j, count in zip(sieved, total.tolist()):
+        counts = _count_pass(limit, tuple(normalized[j] for j in sieved), _resolve_workers(workers))
+        for j, count in zip(sieved, counts):
             results[j] += count
     return results
 

@@ -32,7 +32,7 @@ def oracle_prime_set_1e5(oracle_primes_1e5) -> set[int]:
 def fresh_gap_memos():
     """Start every test without remembered gap histograms or a kept gap stream,
     so each sieves its first pass."""
-    engine._gap_histogram.cache_clear()
+    engine._gap_histograms.clear()
     engine._kept_stream.clear()
 
 

@@ -150,7 +150,7 @@ def test_non_finite_parameter_exits_1_and_leaves_no_file(args, tmp_path, monkeyp
 
 @pytest.mark.parametrize("failure", [
     # (the function that runs out of memory, the command, whether it runs in the main thread)
-    ("_worker_gaps", ["gaps-histogram", "--limit", "1e5", "--workers", "2"], False),
+    ("_worker_counts", ["gaps-histogram", "--limit", "1e5", "--workers", "2"], False),
     ("prime_count", ["sieve-stats", "--limit", "1e4"], True),
 ])
 def test_worker_failure_exits_2(failure, tmp_path, monkeypatch, capsys, set_segment_slots):
@@ -168,6 +168,29 @@ def test_worker_failure_exits_2(failure, tmp_path, monkeypatch, capsys, set_segm
     assert capsys.readouterr().err == "error: MemoryError\n"
     assert list(tmp_path.iterdir()) == []
     assert threads and all((t is threading.main_thread()) == in_main for t in threads)
+
+
+@pytest.mark.parametrize("lib", [engine._segment_lib, lambda: None], ids=["compiled", "numpy"])
+def test_histogram_gap_wider_than_its_bins_exits_2(lib, tmp_path, monkeypatch, capsys,
+                                                   set_segment_slots):
+    # a first segment whose primes 3 and 3 + 2 * 1024 lie 2048 apart: no wrong bin, exit 2
+    monkeypatch.setattr(engine, "_segment_lib", lib)
+    set_segment_slots(1 << 12)
+    sieve_mask = engine._sieve_mask
+
+    def wide(lo, hi, base):
+        mask = sieve_mask(lo, hi, base)
+        if lo == 3 and len(mask) > 2048:
+            mask[: 1025] = False
+            mask[[0, 1024]] = True
+        return mask
+
+    monkeypatch.setattr(engine, "_sieve_mask", wide)
+    args = ["gaps-histogram", "--limit", "1e5", "--workers", "2"]
+    assert run_cli(args, tmp_path, monkeypatch) == 2
+    assert capsys.readouterr().err == f"error: {engine._WIDE_BIN}\n"
+    assert "2046" in engine._WIDE_BIN
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sandwich_command(tmp_path, monkeypatch, capsys):

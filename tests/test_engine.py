@@ -311,7 +311,7 @@ def test_tuple_counts_share_one_pass(monkeypatch, oracle_prime_set_1e5):
     monkeypatch.setattr(engine, "_segment_map", counted)
     tuples = [(0,), (0, 2), (0, 1), (0, 2, 6)]
     got = engine.tuple_counts(10**5, tuples)
-    assert calls == [engine._worker_tuple_counts]
+    assert calls == [engine._worker_counts]
     assert got == [oracles.tuple_count(10**5, h, oracle_prime_set_1e5) for h in tuples]
 
 
@@ -336,8 +336,95 @@ def test_tuple_count_offset_wider_than_segment(oracle_prime_set_1e5, set_segment
     # the shifted-mask lookup must survive offsets larger than a segment
     set_segment_slots(1 << 12)  # span 8192
     h = (0, 30_000)
-    got = engine.tuple_count(90_000, h)
-    assert got == oracles.tuple_count(90_000, h, oracle_prime_set_1e5)
+    want = oracles.tuple_count(90_000, h, oracle_prime_set_1e5)
+    # the compiled word count where it loads, then the numpy byte loop
+    for lib in (engine._segment_lib, lambda: None):
+        with mock.patch.object(engine, "_segment_lib", lib):
+            assert engine.tuple_count(90_000, h) == want
+
+
+# Tuples of even offsets for the counting worker: (0,) alone, pairs, triples
+# and wider ones, with shifts inside one word and across several.
+_EVEN_TUPLES = st.one_of(
+    st.just([]),
+    st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(1, 600), min_size=1, max_size=4, unique=True),
+).map(lambda hs: (0, *sorted(2 * h for h in hs)))
+
+
+@settings(max_examples=150)
+@given(
+    lo=st.one_of(st.integers(1, 8).map(lambda k: 2 * k + 1),
+                 st.integers(1, 2_500_000_000).map(lambda k: 2 * k + 1)),
+    # cores on and off multiples of 64 slots, past one 256-word row block
+    slots=st.one_of(st.integers(1, 200), st.integers(1, 400).map(lambda k: 64 * k),
+                    st.integers(1, 40_000)),
+    tuples=st.lists(_EVEN_TUPLES, min_size=0, max_size=6),
+    histogram=st.booleans(),
+    # the limit past the segment's extension, or inside the segment itself
+    cut=st.one_of(st.none(), st.integers(0, 2400)),
+)
+def test_counting_worker_matches_byte_loop(segment_lib, lo, slots, tuples, histogram, cut):
+    hi = lo + 2 * slots
+    ext = max((h[-1] for h in tuples), default=0)
+    limit = hi + ext + 1 if cut is None else max(lo, hi + ext - 2 * cut)
+    hi = min(hi, limit + 1)
+    if not tuples:
+        histogram = True  # consecutive_gap_counts' pass
+    task = (lo, hi, math.isqrt(limit) + 1, limit, tuple(tuples), histogram)
+    got = engine._worker_counts(task)
+    with mock.patch.object(engine, "_segment_lib", lambda: None):
+        want = engine._worker_counts(task)
+    assert got[0].tolist() == want[0].tolist()
+    assert got[2:] == want[2:]
+    if want[1] is None:
+        assert got[1] is None
+    else:
+        assert got[1].tolist() == want[1].tolist()
+        assert got[2] >= lo and got[3] < hi
+
+
+@settings(max_examples=150)
+@given(
+    n_slots=st.integers(1, 20_000),
+    density=st.sampled_from([0.0005, 0.01, 0.1, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    tuples=st.lists(_EVEN_TUPLES, min_size=0, max_size=6),
+    core_cut=st.integers(0, 200),
+)
+def test_word_count_matches_byte_count(segment_lib, n_slots, density, seed, tuples, core_cut):
+    # hand-built masks, dense and sparse; each tuple's core stops where its
+    # widest shift reaches the mask's end, or short of it
+    mask = np.random.default_rng(seed).random(n_slots) < density
+    cores = [max(0, n_slots - h[-1] // 2 - core_cut) for h in tuples]
+    core = max(0, n_slots - core_cut)
+    try:
+        want = engine._count_bytes(mask, tuples, cores, core)
+    except CapacityError:
+        with pytest.raises(CapacityError):
+            engine._count_words(segment_lib, mask, tuples, cores, core)
+        return
+    got = engine._count_words(segment_lib, mask, tuples, cores, core)
+    assert got[0].tolist() == want[0].tolist()
+    assert got[2] == want[2]
+    assert got[1].tolist() == (np.zeros(engine._HIST_BINS, np.int64) if want[1] is None
+                               else want[1]).tolist()
+
+
+def test_histogram_wider_than_its_bins_raises(segment_lib):
+    # slots 1023 apart are the gap 2046, the widest bin; 1024 apart raise on both paths
+    mask = np.zeros(5000, dtype=bool)
+    mask[[7, 7 + 1023]] = True
+    for count in (lambda *a: engine._count_words(segment_lib, *a), engine._count_bytes):
+        counts, hist, ends = count(mask, ((0,),), [5000], 5000)
+        assert counts.tolist() == [2] and ends == [7, 7 + 1023]
+        assert np.flatnonzero(hist).tolist() == [1023] and hist[1023] == 1
+    mask[7 + 1023], mask[7 + 1024] = False, True
+    for count in (lambda *a: engine._count_words(segment_lib, *a), engine._count_bytes):
+        with pytest.raises(CapacityError, match="2046"):
+            count(mask, ((0, 2),), [4000], 5000)
+    # a tuple pass that makes no histogram reads no gap
+    assert engine._count_words(segment_lib, mask, ((0,),), [5000], 0)[0].tolist() == [2]
 
 
 def test_consecutive_gap_counts_hand_values():
@@ -497,11 +584,11 @@ def _record_passes(monkeypatch) -> list:
 def test_every_alpha_reads_one_gap_pass(monkeypatch, oracle_primes_1e5):
     calls = _record_passes(monkeypatch)
     verify.theorem1_ratio(100_000, -1.0)  # alpha < 0 drops the d = 1 bin, with no pass of its own
-    assert calls == [(engine._worker_gaps, 100_000)]
+    assert calls == [(engine._worker_counts, 100_000)]
     for alpha in (0.0, 1.0):
         verify.theorem1_ratio(100_000, alpha)
     hist = engine.consecutive_gap_counts(100_000)
-    assert calls == [(engine._worker_gaps, 100_000)]
+    assert calls == [(engine._worker_counts, 100_000)]
     assert hist.counts == oracles.gap_histogram(100_000, oracle_primes_1e5)
 
 
@@ -514,7 +601,7 @@ def test_each_gap_pass_is_sieved_once(monkeypatch, oracle_primes_1e5, set_segmen
             set_segment_slots(slots)
             got = engine.consecutive_gap_counts(100_000, workers=workers)
             assert got.counts == expected, (workers, slots)
-    assert calls == [(engine._worker_gaps, 100_000)] * len(passes)
+    assert calls == [(engine._worker_counts, 100_000)] * len(passes)
 
 
 def test_gap_counts_are_a_fresh_dict_per_call(oracle_primes_1e5):
@@ -530,12 +617,78 @@ def test_failed_gap_pass_is_not_remembered(monkeypatch, oracle_primes_1e5):
     def fail(task):
         raise MemoryError
 
-    monkeypatch.setattr(engine, "_worker_gaps", fail)
+    monkeypatch.setattr(engine, "_worker_counts", fail)
     with pytest.raises(MemoryError):
         engine.consecutive_gap_counts(100_000, workers=1)
     monkeypatch.undo()
     got = engine.consecutive_gap_counts(100_000, workers=1)
     assert got.counts == oracles.gap_histogram(100_000, oracle_primes_1e5)
+
+
+def _oracle_primes(limit: int) -> list[int]:
+    """The primes to ``limit`` from the plain oracle sieve."""
+    base = oracles.primes_upto(math.isqrt(limit))[1:]
+    return [2, *(3 + 2 * np.flatnonzero(oracles.segment_mask(3, limit + 1, base))).tolist()]
+
+
+def _prime_free_tail(limit: int, span: int, primes: set[int]) -> int:
+    """The first limit past ``limit`` whose last segment of ``span`` holds no prime."""
+    lo = 3 + (limit - 3) // span * span
+    while True:
+        lo += span
+        if lo not in primes and lo + 2 not in primes:
+            return lo + 2
+
+
+@pytest.mark.parametrize("slots", [1 << 10, 1 << 12])
+def test_tuple_pass_histogram_matches_oracle(slots, monkeypatch, set_segment_slots):
+    set_segment_slots(slots)
+    calls = _record_passes(monkeypatch)
+    primes = _oracle_primes(10**7 + 10**5)
+    prime_set = set(primes)
+    limits = [10**3, 10**4, 99_991, 10**6, 10**7,  # 99,991 is prime
+              _prime_free_tail(10**5, 2 * slots, prime_set)]
+    assert 99_991 in prime_set
+    for limit in limits:
+        engine.tuple_counts(limit, [(0, 2), (0, 2, 6)], workers=2)
+        hist = engine.consecutive_gap_counts(limit, workers=2)  # what the tuple pass kept
+        assert hist.counts == oracles.gap_histogram(limit, primes), limit
+        assert 1 + sum(hist.counts.values()) == engine.prime_count(limit, workers=2), limit
+    # one tuple pass and one prime count per limit, no histogram pass
+    assert [limit for _, limit in calls] == [x for x in limits for _ in range(2)]
+
+
+def test_histogram_memo_keeps_eight_passes(monkeypatch, oracle_primes_1e5):
+    calls = _record_passes(monkeypatch)
+    limits = list(range(1000, 1009))  # nine limits: the first is dropped
+    for limit in limits:
+        engine.consecutive_gap_counts(limit, workers=1)
+    assert list(engine._gap_histograms) == [(x, 1, engine.SEGMENT_SLOTS) for x in limits[1:]]
+    for limit in limits[1:]:
+        got = engine.consecutive_gap_counts(limit, workers=1)
+        assert got.counts == oracles.gap_histogram(limit, oracle_primes_1e5)
+    assert len(calls) == len(limits)
+    engine.consecutive_gap_counts(limits[0], workers=1)
+    assert len(calls) == len(limits) + 1
+
+
+def test_tuple_pass_makes_a_histogram_only_when_none_is_kept(monkeypatch):
+    tasks = []
+    worker = engine._worker_counts
+
+    def recorded(task):
+        tasks.append(task[-1])
+        return worker(task)
+
+    monkeypatch.setattr(engine, "_worker_counts", recorded)
+    engine.tuple_counts(10**5, [(0,)], workers=1)  # (0,) alone counts bytes, with no histogram
+    assert not any(tasks) and not engine._gap_histograms
+    engine.tuple_counts(10**5, [(0, 2)], workers=1)
+    assert all(tasks[-1:]) and list(engine._gap_histograms) == [(10**5, 1, engine.SEGMENT_SLOTS)]
+    tasks.clear()
+    engine.tuple_counts(10**5, [(0, 4)], workers=1)  # kept: no second histogram
+    engine.tuple_counts(10**5, [(0, 4)], workers=2)  # another key
+    assert tasks and tasks[0] is False and tasks[-1] is True
 
 
 # An index pass over many segments: N = 20,000 sieves to 244,185, 2048

@@ -500,6 +500,22 @@ def test_sandwich_inadmissible_triples_still_counted():
     assert res.upper - res.lower >= 1
 
 
+def test_sandwich_makes_one_pass(monkeypatch, oracle_primes_1e5):
+    # the tuple pass keeps the histogram that the middle term reads
+    calls = []
+    segment_map = engine._segment_map
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return segment_map(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_segment_map", counted)
+    res = sums.sandwich_check(100_000, 30, workers=2)
+    assert calls == [(engine._worker_counts, 100_000)]
+    assert res.middle == oracles.gap_histogram(100_000, oracle_primes_1e5)[30]
+    assert res.ok
+
+
 def test_sandwich_validation():
     with pytest.raises(ValidationError):
         sums.sandwich_check(100, 3)
