@@ -49,31 +49,39 @@ void cross_off(uint8_t *mask, int64_t n, const int64_t *ps, int64_t *offsets, in
             mask[o] = 0;
 }
 
+/* Slots base .. base + 63 of mask[0:n] as the bits of one word, 0 past n.  */
+static inline uint64_t pack64(const uint8_t *mask, int64_t n, int64_t base)
+{
+    uint8_t rest[64];
+    const uint8_t *bytes = rest;
+    if (n - base >= 64) {
+        bytes = mask + base;
+    } else {
+        memset(rest, 0, sizeof rest);
+        if (n > base)
+            memcpy(rest, mask + base, (size_t)(n - base));
+    }
+    /* byte k of each 8 moves to bit k: every byte is 0 or 1, and the
+       products' bits land on distinct positions, so nothing carries */
+    uint64_t word = 0;
+#pragma GCC unroll 8
+    for (int k = 0; k < 8; k++) {
+        uint64_t x;
+        memcpy(&x, bytes + 8 * k, 8);
+        word |= (x * 0x0102040810204080ULL) >> 56 << (8 * k);
+    }
+    return word;
+}
+
 /* Write one uint16 per set slot of mask[0:n]: 0 for the first, then
    2 * (slot - previous slot), the gap between the odd numbers.  ends[0]
    and ends[1] get the first and the last set slot.  Returns the number
    of set slots, or -1 if a gap exceeds 65535.  */
 int64_t pack_gaps(const uint8_t *mask, int64_t n, uint16_t *gaps, int64_t *ends)
 {
-    uint8_t rest[64];
     int64_t count = 0, last = -1;
     for (int64_t base = 0; base < n; base += 64) {
-        const uint8_t *bytes = mask + base;
-        if (n - base < 64) {
-            memset(rest, 0, sizeof rest);
-            memcpy(rest, bytes, (size_t)(n - base));
-            bytes = rest;
-        }
-        /* byte k of each 8 moves to bit k: every byte is 0 or 1, and the
-           products' bits land on distinct positions, so nothing carries */
-        uint64_t word = 0;
-#pragma GCC unroll 8
-        for (int k = 0; k < 8; k++) {
-            uint64_t x;
-            memcpy(&x, bytes + 8 * k, 8);
-            word |= (x * 0x0102040810204080ULL) >> 56 << (8 * k);
-        }
-        for (; word; word &= word - 1) {
+        for (uint64_t word = pack64(mask, n, base); word; word &= word - 1) {
             int64_t slot = base + __builtin_ctzll(word);
             if (last < 0)
                 ends[0] = slot;
@@ -147,26 +155,8 @@ int64_t count_words(const uint8_t *mask, int64_t n, const int64_t *shifts,
     uint64_t *rowbuf = words + nwords, *acc = rowbuf + distinct * ROW, *ones = acc + ROW;
     memset(ones, 0xFF, ROW * sizeof *ones);
 
-    uint8_t rest[64];
-    for (int64_t w = 0; w < nwords; w++) {
-        const uint8_t *bytes = rest;
-        if (n - 64 * w >= 64) {
-            bytes = mask + 64 * w;
-        } else {
-            memset(rest, 0, sizeof rest);
-            if (n > 64 * w)
-                memcpy(rest, mask + 64 * w, (size_t)(n - 64 * w));
-        }
-        /* as in pack_gaps: byte k of each 8 moves to bit k */
-        uint64_t word = 0;
-#pragma GCC unroll 8
-        for (int k = 0; k < 8; k++) {
-            uint64_t x;
-            memcpy(&x, bytes + 8 * k, 8);
-            word |= (x * 0x0102040810204080ULL) >> 56 << (8 * k);
-        }
-        words[w] = word;
-    }
+    for (int64_t w = 0; w < nwords; w++)
+        words[w] = pack64(mask, n, 64 * w);
 
     for (int64_t b = 0; b < top; b += ROW) {
         int64_t m = top - b < ROW ? top - b : ROW;

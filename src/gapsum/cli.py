@@ -242,7 +242,6 @@ _COUNT = dict(type=parse_count, required=True)
 _FLOAT = dict(type=float, required=True)
 _LIST = dict(type=parse_int_list, required=True)
 _MODE = dict(choices=("prime", "index"), default="prime")
-_TRUNCATION = dict(type=parse_count, default=singular.DEFAULT_TRUNCATION)
 _STREAM = {
     "--snapshot-grid": dict(type=parse_grid),
     "--checkpoint-dir": dict(metavar="DIR", help=(
@@ -267,16 +266,14 @@ COMMANDS = {
     "singular-pair": Command("S({0,d})", {"--d": _COUNT}, lambda a: _singular(
         "singular_pair", {"d": a.d}, singular.pair_singular(a.d), f"S({{0,{a.d}}})")),
     "singular-tuple": Command("S(H) for a general tuple", {
-        "--offsets": dict(_LIST, help="comma separated, starting at 0"),
-        "--truncation": _TRUNCATION}, lambda a: _singular(
-            "singular_tuple", {"offsets": a.offsets, "P": a.truncation},
-            singular.tuple_singular(tuple(a.offsets), a.truncation), f"S({tuple(a.offsets)})")),
+        "--offsets": dict(_LIST, help="comma separated, starting at 0")}, lambda a: _singular(
+            "singular_tuple", {"offsets": a.offsets, "P": singular.BOUND_PRIME},
+            singular.tuple_singular(tuple(a.offsets)), f"S({tuple(a.offsets)})")),
     "verify-lemma21": Command("pair singular sum error curve", {
         "--grid": dict(type=parse_grid, required=True)},
         lambda a: _reports(verify.lemma21_error_curve(a.grid))),
     "verify-lemma22": Command("triple row sums against d * S({0,d})", {
-        "--d-list": _LIST, "--truncation": _TRUNCATION},
-        lambda a: _reports(verify.lemma22_ratio_curve(a.d_list, a.truncation))),
+        "--d-list": _LIST}, lambda a: _reports(verify.lemma22_ratio_curve(a.d_list))),
     "verify-conjecture1": Command("pair counts against the conjectural main term", {
         "--limit": _COUNT, "--d-list": _LIST},
         lambda a: _reports(verify.conjecture1_ratio(a.limit, a.d_list, workers=a.workers))),

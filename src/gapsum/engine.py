@@ -118,7 +118,7 @@ def effective_segment_slots(limit: int) -> int:
 
 
 def _check_limit(limit: int, minimum: int, what: str = "limit") -> int:
-    if not isinstance(limit, (int, np.integer)):
+    if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)):
         raise ValidationError(f"{what} must be an integer, got {type(limit).__name__}")
     limit = int(limit)
     if limit > CAPACITY_LIMIT:
@@ -126,6 +126,19 @@ def _check_limit(limit: int, minimum: int, what: str = "limit") -> int:
     if limit < minimum:
         raise EmptyDomainError(f"{what} must be >= {minimum}, got {limit}")
     return limit
+
+
+def _check_real(x: float, what: str) -> float:
+    """``x`` as a float; a str, bool, complex or non-finite value is refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{what} must be a real number, got {type(x).__name__}")
+    try:
+        value = float(x)
+    except OverflowError:  # an int past the float64 range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {x}")
+    return value
 
 
 @lru_cache(maxsize=4)

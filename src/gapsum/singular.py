@@ -1,4 +1,4 @@
-"""Hardy-Littlewood singular series, exactly or with certified truncation error.
+"""Hardy-Littlewood singular series with certified error bounds.
 
 For a tuple H = {0, h_1, ..., h_{k-1}} the singular series is the Euler
 product over all primes
@@ -48,7 +48,9 @@ _CONSTANT_REL_ERROR = 1e-13
 # Certified relative error below which float64 results are not issued.
 _PRECISION_FLOOR = 1e-14
 
-DEFAULT_TRUNCATION = 1_000_000
+# The prime P of the conventional tuple bound (``_tuple_rel_bound``);
+# reports carry it as their "P" param.
+BOUND_PRIME = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +245,10 @@ def _generic_product(k: int, cutoff: int = _CONSTANT_CUTOFF) -> tuple[float, flo
 
 @dataclass(frozen=True)
 class SingularValue:
-    """A singular-series value with a certified absolute error bound.
-
-    ``truncation_prime`` records the truncation parameter behind the
-    bound; it is 0 when the value is exact relative to the cached
-    constants (odd-d zeros, inadmissible zeros, pair values).
-    """
+    """A singular-series value with a certified absolute error bound."""
 
     value: float
     abs_error: float
-    truncation_prime: int
 
 
 @dataclass(frozen=True)
@@ -280,7 +276,7 @@ def _c2() -> SingularValue:
     Certified to ~6.6e-14 and cached per process; every pair value and
     pair sum reads it.
     """
-    return SingularValue(*_generic_product(2), _CONSTANT_CUTOFF)
+    return SingularValue(*_generic_product(2))
 
 
 def twin_prime_constant(target_error: float | None = None) -> SingularValue:
@@ -289,13 +285,12 @@ def twin_prime_constant(target_error: float | None = None) -> SingularValue:
     The value is ``_c2()``: the product over p <= 100,000 times a tail
     expansion in the prime zeta function (Wrench, Math. Comp. 15, 1961),
     certified to ~6.6e-14.  A ``target_error``, when given, must be a
-    positive real number (not a bool) and at least 1e-14; PrecisionError
-    is raised if the certified bound exceeds it.
+    positive finite real number (not a bool) and at least 1e-14;
+    PrecisionError is raised if the certified bound exceeds it.
     """
     if target_error is not None:
-        real = isinstance(target_error, (int, float, np.integer, np.floating))
-        if isinstance(target_error, bool) or not (real and target_error > 0):
-            raise ValidationError(f"target_error must be a positive real, got {target_error!r}")
+        if engine._check_real(target_error, "target_error") <= 0:
+            raise ValidationError(f"target_error must be positive, got {target_error!r}")
         if target_error < _PRECISION_FLOOR:
             raise PrecisionError(
                 f"cannot certify below {_PRECISION_FLOOR} in double precision"
@@ -320,7 +315,7 @@ def pair_singular(d: int) -> SingularValue:
     """
     d = engine._check_limit(d, 1, "d")
     if d % 2:
-        return SingularValue(0.0, 0.0, 0)
+        return SingularValue(0.0, 0.0)
     num = 1
     den = 1
     for p in _distinct_prime_factors(d):
@@ -331,41 +326,47 @@ def pair_singular(d: int) -> SingularValue:
     ratio = num / den
     value = 2.0 * ratio * c2.value
     err = 2.0 * ratio * c2.abs_error + 4e-16 * value
-    return SingularValue(value, err, 0)
+    return SingularValue(value, err)
 
 
-def tuple_singular(h, truncation: int = DEFAULT_TRUNCATION) -> SingularValue:
+def _tuple_rel_bound(k: int) -> float:
+    """The certified relative error of a k-tuple value.
+
+    The conventional shape e^(k(k+1)/(P-1)) - 1 at P = ``BOUND_PRIME``,
+    plus the generic product's own relative error.  Every value is
+    assembled from the cached product, so the first part is not an error
+    it makes: the bound over-covers the ~1e-13 the value carries.
+    """
+    gen, gen_err = _generic_product(k)
+    return math.expm1(k * (k + 1) / (BOUND_PRIME - 1)) + gen_err / gen
+
+
+def tuple_singular(h) -> SingularValue:
     """S(H) for a general tuple, assembled from the cached generic product.
 
     The factors for p <= k and for every prime dividing a pairwise
     difference are exact; the rest are generic by construction, so the
     returned value carries no neglected-structure error.  The certified
-    bound keeps the conventional shape value * (e^(k(k+1)/(P-1)) - 1)
-    plus the constant's own relative error, which is monotone
-    non-increasing in the truncation parameter P.
+    bound is value * ``_tuple_rel_bound(k)``.
     """
     spec = _coerce_tuple(h)
     k = spec.k
-    p_cut = engine._check_limit(truncation, k, "truncation")
     if k == 1:
-        return SingularValue(1.0, 0.0, p_cut)
+        return SingularValue(1.0, 0.0)
     if not spec.admissible:
-        return SingularValue(0.0, 0.0, 0)
+        return SingularValue(0.0, 0.0)
     value = 1.0
     for p in filter(engine._is_prime, range(2, k + 1)):
         v = spec.residues(p)
         value *= (1.0 - v / p) * (1.0 - 1.0 / p) ** -k
-    gen, gen_err = _generic_product(k)
-    rel_err = gen_err / gen
-    value *= gen
+    value *= _generic_product(k)[0]
     correction_primes: set[int] = set()
     for diff in spec.pairwise_differences():
         correction_primes.update(q for q in _distinct_prime_factors(diff) if q > k)
     for q in sorted(correction_primes):
         v = spec.residues(q)
         value *= (q - v) / (q - k)
-    abs_error = value * (math.expm1(k * (k + 1) / (p_cut - 1)) + rel_err)
-    return SingularValue(value, abs_error, p_cut)
+    return SingularValue(value, value * _tuple_rel_bound(k))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +454,7 @@ def pair_singular_sum(limit: int) -> PairSumState:
     return pair_singular_sum_grid([limit])[0]
 
 
-def triple_row_sum(d: int, truncation: int = DEFAULT_TRUNCATION) -> RowSum:
+def triple_row_sum(d: int) -> RowSum:
     """sum_{h=1}^{d-1} S({0, h, d}) and its ratio to d * S({0, d}).
 
     Only even d is meaningful (odd d makes every pair {0, d} odd-spaced).
@@ -470,14 +471,11 @@ def triple_row_sum(d: int, truncation: int = DEFAULT_TRUNCATION) -> RowSum:
     sum, as a loop over h would give.
     """
     d = engine._check_limit(d, 2, "d")
-    p_cut = engine._check_limit(truncation, 1, "truncation")
     if d % 2:
         raise ValidationError("row sums are defined for even d >= 2")
     if d == 2:
         return RowSum(0.0, 0.0, 0.0)
-    if p_cut < 3:
-        raise ValidationError(f"truncation {p_cut} below tuple size 3")
-    gen, gen_err = _generic_product(3)
+    gen = _generic_product(3)[0]
     # the value before the corrections, by v = |{0, h, d} mod 3|: the
     # p = 2 factor is 4 for even h, and v = 3 is inadmissible
     start = np.zeros(4)
@@ -497,7 +495,7 @@ def triple_row_sum(d: int, truncation: int = DEFAULT_TRUNCATION) -> RowSum:
             row[q::q] = divisible
     values = row[row != 0.0]
     total = math.fsum(values.tolist())
-    errors = values * (math.expm1(12 / (p_cut - 1)) + gen_err / gen)
+    errors = values * _tuple_rel_bound(3)
     err = float(np.cumsum(errors)[-1]) if len(errors) else 0.0
     denom = d * pair_singular(d).value
     return RowSum(total, total / denom, err)

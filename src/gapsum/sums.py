@@ -50,8 +50,7 @@ class WeightSpec:
     alpha: float
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ValidationError(f"alpha must be finite, got {self.alpha}")
+        object.__setattr__(self, "alpha", engine._check_real(self.alpha, "alpha"))
         if self.alpha < -1:
             raise UnsupportedExponentError("alpha must satisfy alpha >= -1")
 
@@ -248,7 +247,7 @@ def en_heuristic_tail(index_limit: int, c: float) -> float:
     integral_X^oo dt / (2 t log t (loglog t)^c) = (loglog X)^(1-c) / (2(c-1)).
     Reported alongside the series for orientation only.
     """
-    if c <= 2:
+    if engine._check_real(c, "c") <= 2:
         raise ValidationError("the heuristic tail is reported for c > 2 only")
     return math.log(math.log(index_limit)) ** (1.0 - c) / (2.0 * (c - 1.0))
 
@@ -285,9 +284,7 @@ def erdos_nathanson_series(
     restarts the stream from p_kC and holds the snapshots below kC.
     """
     index_limit = engine._check_limit(index_limit, 3, "index_limit")
-    c = float(c)
-    if not math.isfinite(c):
-        raise ValidationError(f"c must be finite, got {c}")
+    c = engine._check_real(c, "c")
     state = resume or AccumulatorState()
     snaps = list(state.snapshots)
     cuts = _pending_grid(snapshot_limits, index_limit, snaps, 0 if resume is None else state.next_n)

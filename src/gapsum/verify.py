@@ -86,8 +86,7 @@ def main_term_theorem1(limit: int, alpha: float, mode: str) -> float:
     interconvert.
     """
     x = float(engine._check_limit(limit, 16))
-    if not math.isfinite(alpha):
-        raise ValidationError(f"alpha must be finite, got {alpha}")
+    alpha = engine._check_real(alpha, "alpha")
     if mode not in ("prime", "index"):
         raise ValidationError(f"mode must be 'prime' or 'index', got {mode!r}")
     log_x = math.log(x)
@@ -108,8 +107,7 @@ def main_term_corollary(limit: int, c: float) -> float | None:
     plateau estimate made by the caller.
     """
     x = float(engine._check_limit(limit, 16))
-    if not math.isfinite(c):
-        raise ValidationError(f"c must be finite, got {c}")
+    c = engine._check_real(c, "c")
     ll = math.log(math.log(x))
     if c < 2:
         return ll ** (2 - c) / (2 - c)
@@ -174,20 +172,17 @@ def lemma21_error_curve(x_grid: Sequence[int]) -> list[VerificationReport]:
     return out
 
 
-def lemma22_ratio_curve(
-    d_list: Sequence[int], truncation: int = singular.DEFAULT_TRUNCATION
-) -> list[VerificationReport]:
+def lemma22_ratio_curve(d_list: Sequence[int]) -> list[VerificationReport]:
     """Row sums of triple singular series against d * S({0,d})."""
-    truncation = engine._check_limit(truncation, 1, "truncation")
     out = []
     for d in d_list:
         d = engine._check_limit(d, 2, "d")
-        row = singular.triple_row_sum(d, truncation)
+        row = singular.triple_row_sum(d)
         denom = d * singular.pair_singular(d).value
         out.append(
             VerificationReport.build(
                 "lemma22",
-                {"P": truncation, "d": d},
+                {"P": singular.BOUND_PRIME, "d": d},
                 row.sum,
                 denom,
                 notes=f"abs_error={format_float(row.abs_error)}",
@@ -216,7 +211,6 @@ def sieve_bound_check(
     limit: int,
     samples: Sequence[tuple[int, int]],
     *,
-    truncation: int = singular.DEFAULT_TRUNCATION,
     workers: int | None = None,
 ) -> list[VerificationReport]:
     """Triple counts against the sieve upper bound 48 S(H) X / log^3 X.
@@ -226,7 +220,6 @@ def sieve_bound_check(
     larger ratio indicates a bug, not a discovery.
     """
     x = engine._check_limit(limit, 2)
-    truncation = engine._check_limit(truncation, 3, "truncation")
     log_x = math.log(x)
     reports = []
     todo = []
@@ -234,7 +227,7 @@ def sieve_bound_check(
         h, d = engine._check_limit(h, 1, "h"), engine._check_limit(d, 2, "d")
         if h >= d:
             raise ValidationError(f"sample ({h}, {d}) must satisfy 0 < h < d")
-        sv = singular.tuple_singular((0, h, d), truncation)
+        sv = singular.tuple_singular((0, h, d))
         if sv.value == 0:
             reports.append(
                 VerificationReport(
@@ -273,7 +266,7 @@ def theorem1_ratio(
     count.
     """
     x = engine._check_limit(limit, 16)
-    alpha = float(alpha)
+    alpha = engine._check_real(alpha, "alpha")
     weight = sums.WeightSpec(alpha)
     notes = ""
     if mode == "prime":
@@ -303,7 +296,7 @@ def corollary_ratio(limit: int, c: float, *, workers: int | None = None) -> Veri
     since no closed form exists for the limiting constant.
     """
     x = engine._check_limit(limit, 16)
-    c = float(c)
+    c = engine._check_real(c, "c")
     grid = sums.default_snapshot_grid(x)
     series = sums.erdos_nathanson_series(x, c, snapshot_limits=grid, workers=workers)
     empirical = series[-1].value

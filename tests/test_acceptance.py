@@ -119,7 +119,7 @@ def test_criterion_04_lemma21_error_curve():
 
 
 def test_criterion_05_lemma22_primorial_ratios():
-    ratios = {d: singular.triple_row_sum(d, 10**6).ratio for d in (30, 210, 2310, 30030)}
+    ratios = {d: singular.triple_row_sum(d).ratio for d in (30, 210, 2310, 30030)}
     lo, hi = LEMMA22_BRACKET
     bracket_ok = lo <= ratios[30030] <= hi
     positive_ok = all(r > 0 for r in ratios.values())

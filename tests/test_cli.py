@@ -114,6 +114,10 @@ def test_unknown_flag_exits_1(tmp_path, monkeypatch, capsys):
     # every pass sieves engine.SEGMENT_SLOTS slots a segment
     args = ["sieve-stats", "--limit", "1e4", "--segment-size", "1024"]
     assert run_cli(args, tmp_path, monkeypatch) == 1
+    # every singular-series bound uses the one fixed P
+    for args in (["singular-tuple", "--offsets", "0,2,6"], ["verify-lemma22", "--d-list", "30"],
+                 ["verify-sieve-bound", "--limit", "1e4"]):
+        assert run_cli(args + ["--truncation", "1e6"], tmp_path, monkeypatch) == 1
 
 
 def test_unknown_command_exits_1(tmp_path, monkeypatch):

@@ -53,9 +53,7 @@ CASES = {
          "--resume", "ck/gapsum-en-sum.ckpt", "--output", "out.csv"],
     ],
     "singular-pair": [["singular-pair", "--d", "30", "--output", "out.csv"]],
-    "singular-tuple": [[
-        "singular-tuple", "--offsets", "0,2,6", "--truncation", "1e4", "--output", "out.csv",
-    ]],
+    "singular-tuple": [["singular-tuple", "--offsets", "0,2,6", "--output", "out.csv"]],
     "verify-lemma21": [["verify-lemma21", "--grid", "1e3:1e5:log", "--output", "out.csv"]],
     "verify-lemma21-json": [[
         "verify-lemma21", "--grid", "1e3:1e4:log", "--format", "json", "--output", "out.json",

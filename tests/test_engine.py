@@ -129,6 +129,17 @@ def test_compiled_kernel_builds_where_it_can():
     assert engine._segment_lib() is not None
 
 
+def test_compiled_kernel_source_has_no_warning():
+    # gcc -Wall -Wextra finds nothing in _segment.c, so a new warning fails here
+    cc = sysconfig.get_config_var("CC")
+    if not cc or not shutil.which(shlex.split(cc)[0]):
+        pytest.skip("no compiler")
+    flags = ["-Wall", "-Wextra", "-Werror", "-fsyntax-only"]
+    result = subprocess.run([*shlex.split(cc), *flags, str(engine._SEGMENT_SOURCE)],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+
+
 def _same_gaps(got, want) -> bool:
     if got is None or want is None:
         return got is want

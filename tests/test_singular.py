@@ -144,9 +144,7 @@ def test_twin_constant_cached():
     for target in (None, 1e-3, 1e-10):
         sv = singular.twin_prime_constant(target)
         assert sv is singular._c2()
-        assert (sv.value, sv.abs_error, sv.truncation_prime) == (
-            0.6601618158468696, 6.601620138954142e-14, 100_000
-        )
+        assert (sv.value, sv.abs_error) == (0.6601618158468696, 6.601620138954142e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +254,10 @@ def test_factoring_products_of_two_primes_match_trial_division(p, q):
 
 
 def test_tuple_singular_correction_prime_above_truncation():
-    # a pairwise difference with a prime factor above the truncation
+    # a pairwise difference with a prime factor above the bound's P
     # still gets its exact local factor
     p = 1_299_709
-    a = singular.tuple_singular((0, 2 * p), truncation=10**6)
+    a = singular.tuple_singular((0, 2 * p))
     b = singular.pair_singular(2 * p)
     assert abs(a.value - b.value) <= 1e-12 * b.value
 
@@ -292,7 +290,7 @@ def test_pair_singular_depends_only_on_odd_radical(radical, e1, e2):
 
 def test_tuple_singular_inadmissible_is_exact_zero():
     sv = singular.tuple_singular((0, 2, 4))
-    assert sv == singular.SingularValue(0.0, 0.0, 0)
+    assert sv == singular.SingularValue(0.0, 0.0)
 
 
 def test_tuple_singular_k1_is_one():
@@ -301,7 +299,7 @@ def test_tuple_singular_k1_is_one():
 
 def test_tuple_singular_matches_pair_route():
     for d in (2, 6, 30):
-        a = singular.tuple_singular((0, d), truncation=10_000_000)
+        a = singular.tuple_singular((0, d))
         b = singular.pair_singular(d)
         assert abs(a.value - b.value) <= a.abs_error + b.abs_error
         assert abs(a.value - b.value) < 1e-12 * b.value
@@ -336,7 +334,7 @@ def test_tuple_singular_quadruple_against_direct_product():
     direct = math.exp(
         math.fsum((np.log1p(-v / ps) - 4 * np.log1p(-1.0 / ps)).tolist())
     )
-    sv = singular.tuple_singular(h, truncation=1_000_000)
+    sv = singular.tuple_singular(h)
     # the direct product misses its own tail, ~ k(k+1)/P relative
     assert abs(sv.value - direct) <= 3e-5 * direct
     assert sv.value > 0
@@ -354,20 +352,6 @@ def test_tuple_singular_translation_invariant():
     a = singular.tuple_singular(TupleSpec.from_integers([5, 7, 11]))
     b = singular.tuple_singular((0, 2, 6))
     assert a.value == b.value
-
-
-def test_tuple_singular_error_decreases_in_truncation():
-    h = (0, 4, 6)
-    errs = [singular.tuple_singular(h, truncation=p).abs_error for p in (10**4, 10**5, 10**6)]
-    assert errs[0] > errs[1] > errs[2]
-    a = singular.tuple_singular(h, truncation=10**5)
-    b = singular.tuple_singular(h, truncation=10**6)
-    assert abs(a.value - b.value) <= a.abs_error + b.abs_error
-
-
-def test_tuple_singular_truncation_validation():
-    with pytest.raises(ValidationError):
-        singular.tuple_singular((0, 2, 6), truncation=2)
 
 
 def test_tuple_singular_nonnegative_and_zero_iff_inadmissible():
@@ -456,12 +440,12 @@ def test_triple_row_sum_brute_force_small():
     assert row.sum == pytest.approx(direct, rel=1e-13)
 
 
-def _scalar_row_sum(d, truncation):
+def _scalar_row_sum(d):
     """The row sum as a loop over h of tuple_singular."""
     parts = []
     err = 0.0
     for h in range(1, d):
-        sv = singular.tuple_singular((0, h, d), truncation)
+        sv = singular.tuple_singular((0, h, d))
         if sv.value:
             parts.append(sv.value)
             err += sv.abs_error
@@ -469,17 +453,9 @@ def _scalar_row_sum(d, truncation):
     return (total, total / (d * singular.pair_singular(d).value), err)
 
 
-@pytest.mark.parametrize("truncation", [3, 10, 10**6])
-def test_triple_row_sum_equals_scalar_loop_exactly(truncation):
+def test_triple_row_sum_equals_scalar_loop_exactly():
     for d in [*range(4, 401, 2), 2310, 4096, 9702, 30030, 2 * 1009]:
-        assert tuple(singular.triple_row_sum(d, truncation)) == _scalar_row_sum(d, truncation), d
-
-
-def test_triple_row_sum_truncation_below_tuple_size():
-    assert singular.triple_row_sum(2, 2) == (0.0, 0.0, 0.0)
-    for d in (4, 30):
-        with pytest.raises(ValidationError):
-            singular.triple_row_sum(d, 2)
+        assert tuple(singular.triple_row_sum(d)) == _scalar_row_sum(d), d
 
 
 # ---------------------------------------------------------------------------

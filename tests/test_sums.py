@@ -90,15 +90,7 @@ def test_float_limits_refused():
     with pytest.raises(ValidationError):
         singular.triple_row_sum(10.7)
     with pytest.raises(ValidationError):
-        singular.triple_row_sum(30, truncation=1000.5)
-    with pytest.raises(ValidationError):
-        singular.tuple_singular((0, 2, 6), truncation=1000.9)
-    with pytest.raises(ValidationError):
         singular.residue_count((0, 2, 6), 5.9)
-    with pytest.raises(ValidationError):
-        verify.lemma22_ratio_curve([10], 1000.5)
-    with pytest.raises(ValidationError):
-        verify.sieve_bound_check(1000, [(2, 6)], truncation=1000.5)
     with pytest.raises(ValidationError):
         singular.pair_singular_sum_grid([1000, 2500.7])
     with pytest.raises(ValidationError):
@@ -125,6 +117,37 @@ def test_float_limits_refused():
         verify.lemma22_ratio_curve([10.7])
     with pytest.raises(ValidationError):
         verify.sieve_bound_check(1000, [(2, 6.5)])
+
+
+# Calls that take one real parameter x, and calls that take one integer.
+_REAL_CALLS = {
+    "WeightSpec": WeightSpec,
+    "erdos_nathanson_sum": lambda x: sums.erdos_nathanson_sum(1000, x),
+    "en_heuristic_tail": lambda x: sums.en_heuristic_tail(1000, x),
+    "theorem1_ratio": lambda x: verify.theorem1_ratio(1000, x),
+    "main_term_theorem1": lambda x: verify.main_term_theorem1(1000, x, "prime"),
+    "corollary_ratio": lambda x: verify.corollary_ratio(1000, x),
+    "main_term_corollary": lambda x: verify.main_term_corollary(1000, x),
+    "twin_prime_constant": singular.twin_prime_constant,
+}
+_INTEGER_CALLS = {
+    "prime_count": engine.prime_count,
+    "tuple_counts": lambda x: engine.tuple_counts(100, [(0, x)]),
+}
+_NOT_REAL = {"digit_str": "3", "str": "x", "true": True, "false": False, "complex": 1 + 0j,
+             "nan": math.nan, "inf": math.inf}
+
+
+@pytest.mark.parametrize("call, bad", [
+    pytest.param(call, bad, id=f"{name}-{kind}")
+    for calls, extra in ((_REAL_CALLS, {"huge_int": 10**400}), (_INTEGER_CALLS, {}))
+    for name, call in calls.items()
+    for kind, bad in {**_NOT_REAL, **extra}.items()
+])
+def test_non_real_and_bool_parameters_refused(call, bad):
+    # a str, bool, complex or non-finite value is never read as a number
+    with pytest.raises(ValidationError):
+        call(bad)
 
 
 def test_en_sum_hand_values():
