@@ -12,9 +12,10 @@ CSV output is locale independent ('.' decimal separator, LF endings,
 '#' comment lines.  Files are written to a temporary name and renamed
 into place, so a failed run leaves no partial output.
 
-Exit codes: 0 success, 1 validation or usage error, 2 capacity or
-precision error or a MemoryError (a worker thread's too); a crash or an
-OOM kill ends the whole process, whatever the worker count.
+Exit codes: 0 success, 1 validation or usage error or a file that cannot
+be written or read (an OSError), 2 capacity or precision error or a
+MemoryError (a worker thread's too); a crash or an OOM kill ends the whole
+process, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -54,8 +55,16 @@ def parse_count(text: str) -> int:
     return int(value)
 
 
+def _items(text: str) -> list[str]:
+    """The comma-separated items of ``text``; an empty one is refused."""
+    items = text.split(",")
+    if not all(items):
+        raise ValidationError(f"empty item in the list {text!r}")
+    return items
+
+
 def parse_int_list(text: str) -> list[int]:
-    return [parse_count(part) for part in text.split(",") if part]
+    return [parse_count(part) for part in _items(text)]
 
 def parse_grid(text: str) -> list[int]:
     """Either a comma list or lo:hi:log (powers of ten from lo to hi)."""
@@ -76,7 +85,7 @@ def parse_grid(text: str) -> list[int]:
 def parse_samples(text: str) -> list[tuple[int, int]]:
     """Sieve-bound samples as 'h:d,h:d,...'."""
     out = []
-    for part in filter(None, text.split(",")):
+    for part in _items(text):
         h, _, d = part.partition(":")
         if not d:
             raise ValidationError("samples must look like 'h:d,h:d'")
@@ -330,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except GapsumError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a report, checkpoint or directory that cannot be written or read
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,27 +7,26 @@ slot ``i`` of a segment based at ``lo`` represents the odd number
 threads) and consumed strictly in increasing order, so every derived
 stream (primes, gaps, counts) is identical for any worker count and any
 segment size.  ``_sieve_mask`` is the one kernel, also for the base
-primes.  Two folds read the segments.  ``gap_blocks`` is the one gap stream,
-over the uint16 gaps the gap worker sends, 2 bytes a prime, and
-``prime_blocks`` reads it.  ``_count_pass`` is the one counting pass: its
-worker counts tuples and, when asked, bins the gaps of its segment, so
-``tuple_counts`` (``prime_count`` counts the tuple (0,)) and
-``consecutive_gap_counts`` share it.
+primes, and ``_worker_counts`` the one segment worker: it counts tuples,
+bins the gaps of its segment and sends them as uint16 gaps (2 bytes a
+prime), each when asked.  Two folds read it.  ``gap_blocks`` is the one
+gap stream, and ``prime_blocks`` reads it.  ``_count_pass`` is the one
+counting pass, so ``tuple_counts`` (``prime_count`` counts the tuple (0,))
+and ``consecutive_gap_counts`` share it.
 
-Three steps of a segment run in C when they can.  ``_segment.c``'s
+Two steps of a segment run in C when they can.  ``_segment.c``'s
 ``cross_off`` clears the multiples of the base primes, those below 8192 one
-32 KiB block at a time; its ``pack_gaps`` reads the gap worker's primes 64
-slots to a word; and its ``count_words`` packs the counting worker's mask
-into 64-slot words once, counts every tuple by ANDing shifted words, and
-bins the gaps from the same words.  ``_segment_lib`` compiles the file on
-first use and caches the library in ``__pycache__``; the wheel tile, the
-start offsets and both folds stay in numpy.  Where the library does not
-build or load, the numpy code does the same work with the same results,
-and the tests use it as the reference: a strided slice assignment per base
-prime, then ``np.flatnonzero`` and ``_pack_gaps`` for the gaps, and
-``_count_bytes`` (one byte AND per offset, and a bincount of the slot
-distances) for the counts.  A pass of the tuple (0,) alone counts the
-mask bytes on either path.
+32 KiB block at a time; its ``count_words`` packs the mask into 64-slot
+words once, counts every tuple by ANDing shifted words, and walks the
+primes of the same words once to bin or store the gaps.
+``_segment_lib`` compiles the file on first use and caches the library in
+``__pycache__``; the wheel tile, the start offsets and both folds stay in
+numpy.  Where the library does not build or load, the numpy code does the
+same work with the same results, and the tests use it as the reference: a
+strided slice assignment per base prime, then ``_count_bytes`` (one byte
+AND per offset, and the slot distances of ``np.flatnonzero`` binned or
+doubled into gaps).  A pass of the tuple (0,) alone counts the mask bytes
+on either path.
 
 The counting pass keeps the gap histograms of its last eight limits, each
 keyed by its pass, whenever it made one: every pass with no tuples or with
@@ -80,11 +79,12 @@ CAPACITY_LIMIT = 2**63 - 1
 # to a cache.  Each segment pays a fixed cost per base prime (its start
 # offset), which a larger mask amortises.  But while the compiled kernel
 # sweeps the small primes in L1-sized blocks whatever the size, the large
-# primes and the gap scan sweep the whole mask, one byte a slot: 2^20 slots
-# fill half of a 2 MiB L2, 2^21 all of it.  On one segment just below X,
-# _worker_gaps took 1.12 ns per integer at 2^20 slots against 1.34 at 2^21
-# (X = 1e10), 1.39 against 2.67 at 2^23 (X = 2e11), and 1.66 against 1.91
-# at 2^21 and 3.11 at 2^23 (X = 1e12) (BENCH_one_segment_size.json).
+# primes and the prime walk sweep the whole mask, one byte a slot: 2^20
+# slots fill half of a 2 MiB L2, 2^21 all of it.  On one segment just below
+# X, the gap worker of the time took 1.12 ns per integer at 2^20 slots
+# against 1.34 at 2^21 (X = 1e10), 1.39 against 2.67 at 2^23 (X = 2e11),
+# and 1.66 against 1.91 at 2^21 and 3.11 at 2^23 (X = 1e12)
+# (BENCH_one_segment_size.json).
 SEGMENT_SLOTS = 1 << 20
 
 _FIRST_ODD = 3
@@ -107,7 +107,7 @@ def _resolve_workers(workers: int | None) -> int:
     """``workers``, or ``default_workers()`` for None; a count below 1 is refused."""
     if workers is None:
         return default_workers()
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
     return int(workers)
 
@@ -187,12 +187,19 @@ def _build_segment_library(command: Sequence[str], path: Path) -> None:
                 stale.unlink()
 
 
+def _nullable(pointer: type) -> type:
+    """The ctypes argument type ``pointer`` that also passes None, as NULL."""
+    convert = pointer.from_param
+    return type(pointer.__name__, (pointer,),
+                {"from_param": classmethod(lambda cls, obj: obj if obj is None else convert(obj))})
+
+
 @lru_cache(maxsize=1)
 def _segment_lib() -> ctypes.CDLL | None:
-    """The compiled ``cross_off``, ``pack_gaps`` and ``count_words``, or None for numpy.
+    """The compiled ``cross_off`` and ``count_words``, or None for numpy.
 
-    numpy runs on a big-endian host (``pack_gaps`` and ``count_words`` read
-    eight mask bytes as one word), and when sysconfig names no compiler or the build or the
+    numpy runs on a big-endian host (``count_words`` reads eight mask bytes
+    as one word), and when sysconfig names no compiler or the build or the
     load fails.  The outputs are the same either way.
     """
     cc = sysconfig.get_config_var("CC")
@@ -211,14 +218,10 @@ def _segment_lib() -> ctypes.CDLL | None:
     out64s = np.ctypeslib.ndpointer(np.int64, flags=("C_CONTIGUOUS", "WRITEABLE"))
     lib.cross_off.argtypes = [mask, ctypes.c_int64, int64s, out64s, ctypes.c_int64]
     lib.cross_off.restype = None
-    lib.pack_gaps.argtypes = [
-        np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS"), ctypes.c_int64,
-        np.ctypeslib.ndpointer(np.uint16, flags=("C_CONTIGUOUS", "WRITEABLE")), out64s,
-    ]
-    lib.pack_gaps.restype = ctypes.c_int64
     lib.count_words.argtypes = [
         np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS"), ctypes.c_int64, int64s, int64s,
-        int64s, ctypes.c_int64, out64s, ctypes.c_int64, out64s, out64s,
+        int64s, ctypes.c_int64, out64s, ctypes.c_int64, _nullable(out64s),
+        _nullable(np.ctypeslib.ndpointer(np.uint16, flags=("C_CONTIGUOUS", "WRITEABLE"))), out64s,
     ]
     lib.count_words.restype = ctypes.c_int64
     return lib
@@ -274,105 +277,73 @@ def _sieve_mask(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Worker functions, run on pool threads: each writes only arrays of its own
 
-_WIDE_GAP = "a prime gap exceeds 65535, the width of the uint16 gap transfer"
-
-
-def _worker_gaps(task: tuple[int, int, int]) -> tuple[int, int, np.ndarray] | None:
-    """``_pack_gaps`` of the primes in [lo, hi), or None if there are none."""
-    lo, hi, sqrt_cap = task
-    mask = _sieve_mask(lo, hi, _odd_base_primes(sqrt_cap))
-    lib = _segment_lib()
-    if lib is not None:
-        return _scan_gaps(lib, lo, mask)
-    slots = np.flatnonzero(mask)
-    return _pack_gaps(lo, slots) if len(slots) else None
-
-
-def _scan_gaps(lib: ctypes.CDLL, lo: int, mask: np.ndarray) -> tuple[int, int, np.ndarray] | None:
-    """``_pack_gaps(lo, np.flatnonzero(mask))`` by the compiled ``pack_gaps``, or None."""
-    gaps = np.empty(len(mask), dtype=np.uint16)
-    ends = np.empty(2, dtype=np.int64)
-    count = lib.pack_gaps(mask, len(mask), gaps, ends)
-    if count < 0:
-        raise CapacityError(_WIDE_GAP)
-    if not count:
-        return None
-    return lo + 2 * int(ends[0]), lo + 2 * int(ends[1]), gaps[:count].copy()
-
-
-def _pack_gaps(lo: int, slots: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """(first prime, last prime, gaps) of the primes lo + 2*slot, for sorted ``slots``.
-
-    ``gaps`` is uint16 with one entry per prime: entry j > 0 is the gap
-    from prime j - 1 to prime j, and entry 0 is left for the gap that
-    enters the segment.  Gaps below 2^63 are at most 1,550 (OEIS A005250).
-    A wider one wraps to a smaller value, so the gaps no longer sum to
-    last - first, and that sum stays below 2^32.
-    """
-    gaps = np.zeros(len(slots), dtype=np.uint16)
-    np.subtract(slots[1:], slots[:-1], out=gaps[1:], casting="unsafe")
-    gaps <<= 1
-    first, last = lo + 2 * int(slots[0]), lo + 2 * int(slots[-1])
-    if int(gaps.sum(dtype=np.uint32)) != last - first:
-        raise CapacityError(_WIDE_GAP)
-    return first, last, gaps
-
-
 # Bins of a segment's gap histogram, by distance in slots (d / 2): gaps to
 # 2046.  The gaps below 2^64 are at most 1,550 (OEIS A005250); a wider one
-# raises rather than land in a wrong bin.
+# raises rather than land in a wrong bin or wrap in a uint16 gap.
 _HIST_BINS = 1024
-_WIDE_BIN = "a prime gap exceeds 2046, the width of the gap histogram"
+_WIDE_BIN = "a prime gap exceeds 2046, the widest a segment worker bins or sends"
 
 
-def _worker_counts(task: tuple[int, int, int, int, tuple[tuple[int, ...], ...], bool]
-                   ) -> tuple[np.ndarray, np.ndarray | None, int | None, int | None]:
-    """Tuple counts of [lo, hi), and with ``histogram`` the gaps between its primes.
+def _worker_counts(task: tuple[int, int, int, int, tuple[tuple[int, ...], ...], bool, bool]
+                   ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, int | None,
+                              int | None]:
+    """Tuple counts of [lo, hi), and when asked the gaps between its primes.
 
     Counts the starts n in [lo, hi) with n + max(h) <= limit, per tuple;
     the mask is sieved max(h)/2 slots past ``hi`` so shifted reads never
-    cross into another segment.  Returns (counts, histogram, first prime,
-    last prime).  The histogram counts the primes of [lo, hi) by their
-    distance in slots from the one before; it and the primes are None
-    unless the histogram was asked for and [lo, hi) holds a prime.
+    cross into another segment.  Returns (counts, histogram, gaps, first
+    prime, last prime).  With ``histogram``, the histogram counts the
+    primes of [lo, hi) by their distance in slots from the one before.
+    With ``gaps``, the uint16 gaps hold one entry per prime of [lo, hi):
+    entry j > 0 is the gap from prime j - 1 to prime j, and entry 0 is left
+    for the gap that enters the segment.  The histogram and the gaps are
+    None unless asked for, and all four are None when neither was asked
+    for or [lo, hi) holds no prime.
     """
-    lo, hi, sqrt_cap, limit, tuples, histogram = task
+    lo, hi, sqrt_cap, limit, tuples, histogram, gaps = task
     hi_ext = min(hi + max((h[-1] for h in tuples), default=0), limit + 1)
     mask = _sieve_mask(lo, hi_ext, _odd_base_primes(sqrt_cap))
     cores = [max(0, (min(hi, limit - h[-1] + 1) - lo + 1) // 2) for h in tuples]
-    core = (hi - lo + 1) // 2 if histogram else 0
+    core = (hi - lo + 1) // 2 if histogram or gaps else 0
     lib = _segment_lib()
-    if lib is not None and (histogram or max(map(len, tuples), default=0) > 1):
-        counts, hist, ends = _count_words(lib, mask, tuples, cores, core)
+    if lib is not None and (core or max(map(len, tuples), default=0) > 1):
+        counts, hist, inner, ends = _count_words(lib, mask, tuples, cores, core, histogram, gaps)
     else:
-        counts, hist, ends = _count_bytes(mask, tuples, cores, core)
-    if not histogram or ends[0] < 0:
-        return counts, None, None, None
-    return counts, hist, lo + 2 * ends[0], lo + 2 * ends[1]
+        counts, hist, inner, ends = _count_bytes(mask, tuples, cores, core, histogram, gaps)
+    if ends[0] < 0:
+        return counts, None, None, None, None
+    return counts, hist, inner, lo + 2 * ends[0], lo + 2 * ends[1]
 
 
-def _count_words(lib: ctypes.CDLL, mask: np.ndarray, tuples, cores: list[int], core: int
-                 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _count_words(lib: ctypes.CDLL, mask: np.ndarray, tuples, cores: list[int], core: int,
+                 histogram: bool, gaps: bool
+                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, list[int]]:
     """``_count_bytes`` by the compiled ``count_words``, from the mask packed into words."""
     shifts = np.array([h // 2 for offsets in tuples for h in offsets], dtype=np.int64)
     starts = np.cumsum([0, *map(len, tuples)], dtype=np.int64)
     counts = np.empty(len(tuples), dtype=np.int64)
-    hist = np.zeros(_HIST_BINS, dtype=np.int64)
+    hist = np.zeros(_HIST_BINS, dtype=np.int64) if histogram else None
+    inner = np.empty(core, dtype=np.uint16) if gaps else None
     ends = np.empty(2, dtype=np.int64)
-    status = lib.count_words(mask, len(mask), shifts, starts, np.array(cores, dtype=np.int64),
-                             len(tuples), counts, core, hist, ends)
-    if status == -2:
+    found = lib.count_words(mask, len(mask), shifts, starts, np.array(cores, dtype=np.int64),
+                            len(tuples), counts, core, hist, inner, ends)
+    if found == -2:
         raise MemoryError
-    if status < 0:
+    if found < 0:
         raise CapacityError(_WIDE_BIN)
-    return counts, hist, ends.tolist()
+    if not found:
+        return counts, None, None, [-1, -1]
+    return counts, hist, None if inner is None else inner[:found].copy(), ends.tolist()
 
 
-def _count_bytes(mask: np.ndarray, tuples, cores: list[int], core: int
-                 ) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
-    """Per tuple, the slots i < its core with every mask[i + h/2] set; and the
-    histogram of slot distances between the set slots of mask[:core], with
-    the first and last of them (-1 if none), when ``core`` > 0."""
+def _count_bytes(mask: np.ndarray, tuples, cores: list[int], core: int,
+                 histogram: bool, gaps: bool
+                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, list[int]]:
+    """Per tuple, the slots i < its core with every mask[i + h/2] set; and,
+    when ``core`` > 0, the first and last set slot of mask[:core] (-1 if
+    none), with the histogram of slot distances between its set slots if
+    ``histogram`` and their gaps if ``gaps``, as ``_worker_counts`` returns
+    them."""
     counts = np.zeros(len(tuples), dtype=np.int64)
     # one buffer for every tuple of two or more offsets; (0,) counts the mask itself
     scratch = np.empty(max(cores, default=0) if max(map(len, tuples), default=0) > 1 else 0,
@@ -384,11 +355,13 @@ def _count_bytes(mask: np.ndarray, tuples, cores: list[int], core: int
         counts[j] = int(np.count_nonzero(acc))
     slots = np.flatnonzero(mask[:core])
     if not len(slots):
-        return counts, None, [-1, -1]
-    hist = np.bincount(np.diff(slots), minlength=_HIST_BINS)
-    if len(hist) > _HIST_BINS:
+        return counts, None, None, [-1, -1]
+    steps = np.diff(slots)
+    if steps.max(initial=0) >= _HIST_BINS:
         raise CapacityError(_WIDE_BIN)
-    return counts, hist, [int(slots[0]), int(slots[-1])]
+    hist = np.bincount(steps, minlength=_HIST_BINS) if histogram else None
+    inner = np.insert((steps << 1).astype(np.uint16), 0, 0) if gaps else None
+    return counts, hist, inner, [int(slots[0]), int(slots[-1])]
 
 
 def _segment_map(worker, limit: int, *, workers: int | None, start_lo: int = _FIRST_ODD,
@@ -502,7 +475,8 @@ class GapBlock:
     def rights(self) -> np.ndarray:
         """p_{n+1} for each gap d_n of the block, as int64."""
         rights = self.gaps.astype(np.int64)
-        # the gaps of one segment sum to less than 2^32 (see _pack_gaps)
+        # the gaps of one segment sum to less than 2^32: the inner ones span
+        # less than the segment, and the one into it is below 2^16
         rights[:1] += self.last_prime - int(self.gaps.sum(dtype=np.uint32))
         return np.cumsum(rights, out=rights)
 
@@ -553,12 +527,14 @@ def gap_blocks(
     kept = [] if fresh and index_limit <= _KEPT_STREAM_GAPS else None
     last = init_last
     n = init_n
-    for seg_end, summary in _segment_map(
-        _worker_gaps, sieve_limit, workers=workers, start_lo=start_lo,
+    for seg_end, (_, _, gaps, first, top) in _segment_map(
+        _worker_counts, sieve_limit, workers=workers, start_lo=start_lo,
+        extra=(sieve_limit, (), False, True),
     ):
-        first, top, gaps = summary or (last, last, np.empty(0, dtype=np.uint16))
+        if gaps is None:  # a segment without primes
+            first, top, gaps = last, last, np.empty(0, dtype=np.uint16)
         if first - last > 0xFFFF:
-            raise CapacityError(_WIDE_GAP)
+            raise CapacityError("a prime gap exceeds 65535, the width of the uint16 gap transfer")
         gaps[:1] = first - last
         done = index_limit is not None and n + len(gaps) > index_limit
         if done:
@@ -576,7 +552,7 @@ def gap_blocks(
             return
         n += len(gaps)
         last = top
-        del gaps, summary  # free this segment's arrays before the next is sieved
+        del gaps  # free this segment's gaps before the next is sieved
     if index_limit is not None:
         raise CapacityError("prime enumeration bound exhausted before index limit")
 
@@ -656,8 +632,8 @@ def _count_pass(limit: int, tuples: tuple[tuple[int, ...], ...], workers: int) -
     bins = np.zeros(_HIST_BINS, dtype=np.int64)
     crossing = Counter()  # the gap into each segment, from 2 -> 3 on
     last = 2
-    for _, (part, hist, first, top) in _segment_map(_worker_counts, limit, workers=workers,
-                                                     extra=(limit, tuples, histogram)):
+    for _, (part, hist, _, first, top) in _segment_map(_worker_counts, limit, workers=workers,
+                                                        extra=(limit, tuples, histogram, False)):
         counts += part
         if first is not None:
             bins += hist

@@ -68,7 +68,8 @@ class TupleSpec:
     @classmethod
     def from_integers(cls, values: Iterable[int]) -> "TupleSpec":
         """Normalize an arbitrary set of distinct integers by translation."""
-        vals = sorted(set(values))
+        low = -engine.CAPACITY_LIMIT  # any integer, negative ones too; no bool
+        vals = sorted({engine._check_limit(v, low, "tuple value") for v in values})
         if not vals:
             raise ValidationError("tuple offsets must be non-empty")
         base = vals[0]

@@ -144,8 +144,8 @@ def _pending_grid(grid: Sequence[int] | None, limit: int, done: list[SumSnapshot
 def _segments(state: AccumulatorState, stop_after_segments: int | None, **limits):
     """The gap blocks from ``state``'s restart point on; raise RunInterrupted
     once the budget's last one is consumed."""
-    if stop_after_segments is not None and stop_after_segments < 1:
-        raise ValidationError(f"stop_after_segments must be >= 1, got {stop_after_segments}")
+    if stop_after_segments is not None:
+        engine._check_limit(stop_after_segments, 1, "stop_after_segments")
     blocks = engine.gap_blocks(**limits, start_lo=state.next_lo, init_last=state.last_prime,
                                init_n=state.next_n)
     for done, block in enumerate(blocks, 1):
@@ -247,6 +247,7 @@ def en_heuristic_tail(index_limit: int, c: float) -> float:
     integral_X^oo dt / (2 t log t (loglog t)^c) = (loglog X)^(1-c) / (2(c-1)).
     Reported alongside the series for orientation only.
     """
+    index_limit = engine._check_limit(index_limit, 3, "index_limit")
     if engine._check_real(c, "c") <= 2:
         raise ValidationError("the heuristic tail is reported for c > 2 only")
     return math.log(math.log(index_limit)) ** (1.0 - c) / (2.0 * (c - 1.0))

@@ -57,6 +57,17 @@ def test_parse_samples():
         cli.parse_samples("2-6")
 
 
+@pytest.mark.parametrize("text", ["2,,4", "2,4,", ",2", ""])
+def test_empty_list_item_is_refused(text, tmp_path, monkeypatch):
+    with pytest.raises(ValidationError):
+        cli.parse_int_list(text)
+    with pytest.raises(ValidationError):
+        cli.parse_samples(text.replace("2", "2:6").replace("4", "4:10"))
+    args = ["verify-conjecture1", "--limit", "1e4", "--d-list", text]
+    assert run_cli(args, tmp_path, monkeypatch) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_singular_pair_command(tmp_path, monkeypatch, capsys):
     assert run_cli(["singular-pair", "--d", "6"], tmp_path, monkeypatch) == 0
     comments, rows = read_csv(tmp_path / "gapsum-singular-pair.csv")
@@ -130,6 +141,16 @@ def test_validation_error_exits_1_and_leaves_no_file(tmp_path, monkeypatch):
     )
     assert code == 1
     assert not (tmp_path / "gapsum-weighted-sum.csv").exists()
+
+
+def test_unwritable_output_exits_1(tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "missing" / "x.csv"
+    assert run_cli(["sieve-stats", "--limit", "100", "--output", str(missing)],
+                   tmp_path, monkeypatch) == 1
+    err = capsys.readouterr().err
+    # one line naming the missing directory, no traceback
+    assert err.startswith("error: ") and str(missing.parent) in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_capacity_error_exits_2(tmp_path, monkeypatch):
@@ -326,7 +347,7 @@ def test_checkpoint_saved_when_a_segment_fails(saved, tmp_path, monkeypatch, set
     set_segment_slots(1 << 10)
     # the 5th segment's worker fails, so the record holds the state after 4
     monkeypatch.setattr(checkpoint, "SAVE_INTERVAL_S", 1e9)
-    real_worker, calls = engine._worker_gaps, []
+    real_worker, calls = engine._worker_counts, []
 
     def worker(task):
         calls.append(task)
@@ -334,16 +355,17 @@ def test_checkpoint_saved_when_a_segment_fails(saved, tmp_path, monkeypatch, set
             raise MemoryError
         return real_worker(task)
 
-    monkeypatch.setattr(engine, "_worker_gaps", worker)
+    monkeypatch.setattr(engine, "_worker_counts", worker)
     assert run_cli(_CADENCE + ["--checkpoint-dir", "ck"], tmp_path, monkeypatch) == 2
     assert not (tmp_path / "gapsum-weighted-sum.csv").exists()
     assert [st.next_lo for st in saved] == [_SEGMENT_ENDS[3]]
-    monkeypatch.setattr(engine, "_worker_gaps", real_worker)
+    monkeypatch.setattr(engine, "_worker_counts", real_worker)
     _resume_matches_full(tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("interval", [0.0, 1e9])  # a timed save, then the final one
-def test_failed_checkpoint_save_is_not_retried(interval, tmp_path, monkeypatch, set_segment_slots):
+def test_failed_checkpoint_save_is_not_retried(interval, tmp_path, monkeypatch, capsys,
+                                               set_segment_slots):
     set_segment_slots(1 << 10)
     monkeypatch.setattr(checkpoint, "SAVE_INTERVAL_S", interval)
     error, calls = OSError("disk full"), []
@@ -353,9 +375,8 @@ def test_failed_checkpoint_save_is_not_retried(interval, tmp_path, monkeypatch, 
         raise error
 
     monkeypatch.setattr(checkpoint, "save", save)
-    with pytest.raises(OSError) as raised:
-        run_cli(_CADENCE + ["--checkpoint-dir", "ck"], tmp_path, monkeypatch)
-    assert raised.value is error
+    assert run_cli(_CADENCE + ["--checkpoint-dir", "ck"], tmp_path, monkeypatch) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
     assert len(calls) == 1
 
 

@@ -9,6 +9,7 @@ import sysconfig
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -95,6 +96,11 @@ def oracle_odd_primes_1e6(oracle_primes_1e5):
     return 3 + 2 * np.flatnonzero(oracles.segment_mask(3, 10**6 + 1, small))
 
 
+def _gap_task(lo: int, hi: int) -> tuple:
+    """The segment worker's task for the gaps of [lo, hi), as ``gap_blocks`` sends it."""
+    return lo, hi, math.isqrt(hi) + 1, hi - 1, (), False, True
+
+
 @pytest.mark.parametrize("x", [10**9, 10**10, 10**12])
 @pytest.mark.parametrize("slots", [1 << 12, 1 << 13, 1 << 14])
 def test_worker_gaps_past_the_sparse_crossover(x, slots, oracle_odd_primes_1e6):
@@ -105,11 +111,10 @@ def test_worker_gaps_past_the_sparse_crossover(x, slots, oracle_odd_primes_1e6):
     # the compiled kernel where it loads, then the numpy path, as on a host without it
     for lib in (engine._segment_lib, lambda: None):
         with mock.patch.object(engine, "_segment_lib", lib):
-            first, last, gaps = engine._worker_gaps((lo, hi, math.isqrt(hi) + 1))
+            _, _, gaps, first, last = engine._worker_counts(_gap_task(lo, hi))
         assert (first, last) == (lo + 2 * int(want[0]), lo + 2 * int(want[-1]))
+        assert gaps.dtype == np.uint16
         assert gaps[0] == 0 and gaps[1:].tolist() == (2 * np.diff(want)).tolist()
-        packed = engine._pack_gaps(lo, want)
-        assert packed[:2] == (first, last) and np.array_equal(packed[2], gaps)
 
 
 @pytest.fixture(scope="module")
@@ -141,9 +146,10 @@ def test_compiled_kernel_source_has_no_warning():
 
 
 def _same_gaps(got, want) -> bool:
-    if got is None or want is None:
-        return got is want
-    return got[:2] == want[:2] and got[2].dtype == want[2].dtype and np.array_equal(got[2], want[2])
+    """Whether two worker results, or two walks, hold the same gaps, ends and histogram."""
+    return all(a is b if a is None or b is None else
+               a.dtype == b.dtype and np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+               for a, b in zip(got, want, strict=True))
 
 
 _ODD_PRIMES_BELOW_3000 = [p for p in oracles.primes_upto(3000) if p > 2]
@@ -169,48 +175,70 @@ def test_compiled_kernel_matches_numpy(segment_lib, oracle_primes_1e5, lo, slots
     hi = lo + 2 * slots + extra
     base = np.array(oracle_primes_1e5[1 : bisect.bisect_right(oracle_primes_1e5, math.isqrt(hi - 1))],
                     np.int64)
-    task = (lo, hi, math.isqrt(hi) + 1)
-    got_mask, got_gaps = engine._sieve_mask(lo, hi, base), engine._worker_gaps(task)
+    task = _gap_task(lo, hi)
+    got_mask, got_gaps = engine._sieve_mask(lo, hi, base), engine._worker_counts(task)
     with mock.patch.object(engine, "_segment_lib", lambda: None):  # as on a host without it
-        want_mask, want_gaps = engine._sieve_mask(lo, hi, base), engine._worker_gaps(task)
+        want_mask, want_gaps = engine._sieve_mask(lo, hi, base), engine._worker_counts(task)
     assert np.array_equal(got_mask, want_mask)
-    assert _same_gaps(got_gaps, want_gaps)
-    slots_set = np.flatnonzero(want_mask)
-    want = engine._pack_gaps(lo, slots_set) if len(slots_set) else None
-    assert _same_gaps(engine._scan_gaps(segment_lib, lo, got_mask), want)
+    assert _same_gaps(got_gaps[1:], want_gaps[1:])
+    walk = (got_mask, (), [], len(got_mask), False, True)
+    assert _same_gaps(engine._count_words(segment_lib, *walk)[1:], engine._count_bytes(*walk)[1:])
 
 
 @settings(max_examples=150)
 @given(
     n_slots=st.one_of(st.integers(0, 200), st.integers(0, 70_000)),
-    # no set slot, one, a few far apart (gaps past 65535 among them) and a sieve's density
+    # no set slot, one, a few far apart (gaps past 2046 among them) and a sieve's density
     count=st.one_of(st.integers(0, 3), st.integers(0, 200), st.integers(0, 10_000)),
     seed=st.integers(0, 2**32 - 1),
-    lo=st.integers(1, 10**12).map(lambda k: 2 * k + 1),
+    histogram=st.booleans(),
 )
-def test_compiled_gap_scan_matches_numpy(segment_lib, n_slots, count, seed, lo):
+def test_compiled_gap_scan_matches_numpy(segment_lib, n_slots, count, seed, histogram):
     mask = np.zeros(n_slots, dtype=bool)
     mask[np.random.default_rng(seed).choice(n_slots, min(count, n_slots), replace=False)] = True
-    slots = np.flatnonzero(mask)
+    walk = (mask, (), [], n_slots, histogram, True)
     try:
-        want = engine._pack_gaps(lo, slots) if len(slots) else None
+        want = engine._count_bytes(*walk)
     except CapacityError:
         with pytest.raises(CapacityError):
-            engine._scan_gaps(segment_lib, lo, mask)
+            engine._count_words(segment_lib, *walk)
     else:
-        assert _same_gaps(engine._scan_gaps(segment_lib, lo, mask), want)
+        assert _same_gaps(engine._count_words(segment_lib, *walk)[1:], want[1:])
 
 
-def test_compiled_gap_wider_than_uint16_raises(segment_lib):
+def test_compiled_gap_wider_than_a_bin_raises(segment_lib):
     mask = np.zeros(40_000, dtype=bool)
-    mask[[5, 5 + 32_767]] = True  # the widest gap that fits: 65,534
-    first, last, gaps = engine._scan_gaps(segment_lib, 3, mask)
-    assert (first, last, gaps.dtype, gaps.tolist()) == (13, 13 + 65_534, np.uint16, [0, 65_534])
-    mask[5 + 32_767], mask[5 + 32_768] = False, True  # 65,536
-    with pytest.raises(CapacityError):
-        engine._scan_gaps(segment_lib, 3, mask)
-    with pytest.raises(CapacityError):
-        engine._pack_gaps(3, np.flatnonzero(mask))
+    mask[[5, 5 + 1023]] = True  # the widest gap that fits: 2,046
+    for walk in (lambda *a: engine._count_words(segment_lib, *a), engine._count_bytes):
+        _, _, gaps, ends = walk(mask, (), [], len(mask), False, True)
+        assert (ends, gaps.dtype, gaps.tolist()) == ([5, 5 + 1023], np.uint16, [0, 2046])
+    mask[5 + 1023], mask[5 + 1024] = False, True  # 2,048
+    for walk in (lambda *a: engine._count_words(segment_lib, *a), engine._count_bytes):
+        with pytest.raises(CapacityError, match="2046"):
+            walk(mask, (), [], len(mask), False, True)
+
+
+@settings(max_examples=150)
+@given(segment=st.one_of(
+    # no prime: inside the gap of 250 after 387,096,133
+    st.integers(0, 123).flatmap(lambda a: st.integers(1, 124 - a).map(
+        lambda k: (387_096_135 + 2 * a, 387_096_135 + 2 * (a + k)))),
+    # a prime in the last slot
+    st.tuples(st.sampled_from(_ODD_PRIMES_BELOW_3000), st.integers(1, 1_500)).map(
+        lambda pk: (max(3, pk[0] - 2 * (pk[1] - 1)), pk[0] + 2)),
+    # a core ending mid-word
+    st.tuples(st.integers(1, 2_500_000_000), st.integers(0, 300), st.integers(1, 63)).map(
+        lambda t: (2 * t[0] + 1, 2 * t[0] + 1 + 2 * (64 * t[1] + t[2]))),
+    st.integers(1, 40_000).map(lambda k: (3, 3 + 2 * k)),  # lo = 3
+))
+def test_compiled_gap_buffer_matches_byte_walk(segment_lib, segment):
+    lo, hi = segment
+    got = engine._worker_counts(_gap_task(lo, hi))
+    with mock.patch.object(engine, "_segment_lib", lambda: None):  # _count_bytes' gaps
+        want = engine._worker_counts(_gap_task(lo, hi))
+    assert _same_gaps(got[1:], want[1:])
+    if want[2] is not None:
+        assert int(want[2].sum()) == want[4] - want[3] and lo <= want[3] <= want[4] < hi
 
 
 def test_second_interpreter_loads_the_cached_library(segment_lib):
@@ -244,7 +272,7 @@ def test_source_edit_builds_a_new_library(segment_lib, tmp_path, monkeypatch):
         # leaving only its own, readable by all
         assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == [Path(lib._name).name]
         assert os.stat(lib._name).st_mode & 0o444 == 0o444
-        assert engine._worker_gaps((3, 1001, 32))[:2] == (3, 997)
+        assert engine._worker_counts(_gap_task(3, 1001))[3:] == (3, 997)
     finally:
         engine._segment_lib.cache_clear()
 
@@ -372,27 +400,27 @@ _EVEN_TUPLES = st.one_of(
                     st.integers(1, 40_000)),
     tuples=st.lists(_EVEN_TUPLES, min_size=0, max_size=6),
     histogram=st.booleans(),
+    gaps=st.booleans(),
     # the limit past the segment's extension, or inside the segment itself
     cut=st.one_of(st.none(), st.integers(0, 2400)),
 )
-def test_counting_worker_matches_byte_loop(segment_lib, lo, slots, tuples, histogram, cut):
+def test_counting_worker_matches_byte_loop(segment_lib, lo, slots, tuples, histogram, gaps, cut):
     hi = lo + 2 * slots
     ext = max((h[-1] for h in tuples), default=0)
     limit = hi + ext + 1 if cut is None else max(lo, hi + ext - 2 * cut)
     hi = min(hi, limit + 1)
-    if not tuples:
+    if not tuples and not gaps:
         histogram = True  # consecutive_gap_counts' pass
-    task = (lo, hi, math.isqrt(limit) + 1, limit, tuple(tuples), histogram)
+    task = (lo, hi, math.isqrt(limit) + 1, limit, tuple(tuples), histogram, gaps)
     got = engine._worker_counts(task)
     with mock.patch.object(engine, "_segment_lib", lambda: None):
         want = engine._worker_counts(task)
     assert got[0].tolist() == want[0].tolist()
-    assert got[2:] == want[2:]
-    if want[1] is None:
-        assert got[1] is None
-    else:
-        assert got[1].tolist() == want[1].tolist()
-        assert got[2] >= lo and got[3] < hi
+    assert _same_gaps(got[1:], want[1:])
+    assert (got[1] is None) == (not histogram or got[3] is None)
+    assert (got[2] is None) == (not gaps or got[3] is None)
+    if got[3] is not None:
+        assert lo <= got[3] <= got[4] < hi
 
 
 @settings(max_examples=150)
@@ -409,17 +437,16 @@ def test_word_count_matches_byte_count(segment_lib, n_slots, density, seed, tupl
     mask = np.random.default_rng(seed).random(n_slots) < density
     cores = [max(0, n_slots - h[-1] // 2 - core_cut) for h in tuples]
     core = max(0, n_slots - core_cut)
+    walk = (mask, tuples, cores, core, True, True)
     try:
-        want = engine._count_bytes(mask, tuples, cores, core)
+        want = engine._count_bytes(*walk)
     except CapacityError:
         with pytest.raises(CapacityError):
-            engine._count_words(segment_lib, mask, tuples, cores, core)
+            engine._count_words(segment_lib, *walk)
         return
-    got = engine._count_words(segment_lib, mask, tuples, cores, core)
+    got = engine._count_words(segment_lib, *walk)
     assert got[0].tolist() == want[0].tolist()
-    assert got[2] == want[2]
-    assert got[1].tolist() == (np.zeros(engine._HIST_BINS, np.int64) if want[1] is None
-                               else want[1]).tolist()
+    assert _same_gaps(got[1:], want[1:])
 
 
 def test_histogram_wider_than_its_bins_raises(segment_lib):
@@ -427,15 +454,16 @@ def test_histogram_wider_than_its_bins_raises(segment_lib):
     mask = np.zeros(5000, dtype=bool)
     mask[[7, 7 + 1023]] = True
     for count in (lambda *a: engine._count_words(segment_lib, *a), engine._count_bytes):
-        counts, hist, ends = count(mask, ((0,),), [5000], 5000)
-        assert counts.tolist() == [2] and ends == [7, 7 + 1023]
+        counts, hist, gaps, ends = count(mask, ((0,),), [5000], 5000, True, False)
+        assert counts.tolist() == [2] and ends == [7, 7 + 1023] and gaps is None
         assert np.flatnonzero(hist).tolist() == [1023] and hist[1023] == 1
     mask[7 + 1023], mask[7 + 1024] = False, True
     for count in (lambda *a: engine._count_words(segment_lib, *a), engine._count_bytes):
         with pytest.raises(CapacityError, match="2046"):
-            count(mask, ((0, 2),), [4000], 5000)
+            count(mask, ((0, 2),), [4000], 5000, True, False)
     # a tuple pass that makes no histogram reads no gap
-    assert engine._count_words(segment_lib, mask, ((0,),), [5000], 0)[0].tolist() == [2]
+    counted = engine._count_words(segment_lib, mask, ((0,),), [5000], 0, False, False)
+    assert counted[0].tolist() == [2] and counted[1:] == (None, None, [-1, -1])
 
 
 def test_consecutive_gap_counts_hand_values():
@@ -531,12 +559,14 @@ def test_bad_workers_env(monkeypatch):
     monkeypatch.setenv("GAPSUM_WORKERS", "0")
     with pytest.raises(ValidationError):
         engine.default_workers()
-    # the library refuses the same counts, before any pool starts
-    for workers in (0, -3, 2.0, "2"):
+    # the library refuses the same counts, and a bool, before any pool starts
+    for workers in (0, -3, 2.0, "2", True):
         with pytest.raises(ValidationError):
             engine.prime_count(10**6, workers=workers)
         with pytest.raises(ValidationError):
             list(engine.gap_blocks(prime_limit=10**6, workers=workers))
+        with pytest.raises(ValidationError):
+            next(engine.gap_stream(prime_limit=10**6, workers=workers))
         with pytest.raises(ValidationError):
             engine.consecutive_gap_counts(10**6, workers=workers)
 
@@ -567,14 +597,22 @@ def test_gap_blocks_restart_from_segment_boundary(set_segment_slots):
 def test_gap_wider_than_uint16_raises(monkeypatch):
     # synthetic primes lo + 2*slot with lo = 3
     slots = (np.array([3, 5, 7, 7 + 65_536, 7 + 3 * 65_536], dtype=np.int64) - 3) // 2
-    first, last, gaps = engine._pack_gaps(3, slots[:3])
-    assert (first, last, gaps.dtype, gaps.tolist()) == (3, 7, np.uint16, [0, 2, 2])
-    for wide in (slots[:4], slots[[0, 1, 2, 4]]):  # gaps 65,536 and 196,608
-        with pytest.raises(CapacityError):
-            engine._pack_gaps(3, wide)
+    for lib in (engine._segment_lib(), None):
+        walk = engine._count_bytes if lib is None else partial(engine._count_words, lib)
+        for chosen, want in ((slots[:3], [0, 2, 2]), (slots[:4], None), (slots[[0, 1, 2, 4]], None)):
+            mask = np.zeros(chosen[-1] + 1, dtype=bool)
+            mask[chosen] = True  # inner gaps of 2, then 65,536 or 196,608
+            if want is None:
+                with pytest.raises(CapacityError):
+                    walk(mask, (), [], len(mask), False, True)
+            else:
+                _, _, gaps, ends = walk(mask, (), [], len(mask), False, True)
+                assert (ends, gaps.dtype, gaps.tolist()) == ([0, 2], np.uint16, want)
     # the gap that enters a segment is checked in the fold
     far = 3 + 65_536 * 2
-    monkeypatch.setattr(engine, "_worker_gaps", lambda task: (far, far, np.zeros(1, np.uint16)))
+    empty = np.zeros(0, np.int64)
+    monkeypatch.setattr(engine, "_worker_counts",
+                        lambda task: (empty, None, np.zeros(1, np.uint16), far, far))
     with pytest.raises(CapacityError):
         next(engine.gap_blocks(prime_limit=10**6, workers=1))
 
@@ -688,7 +726,7 @@ def test_tuple_pass_makes_a_histogram_only_when_none_is_kept(monkeypatch):
     worker = engine._worker_counts
 
     def recorded(task):
-        tasks.append(task[-1])
+        tasks.append(task[5])  # the histogram flag
         return worker(task)
 
     monkeypatch.setattr(engine, "_worker_counts", recorded)
@@ -717,7 +755,7 @@ def test_kept_index_stream_replays_the_sieved_blocks(monkeypatch, set_segment_sl
     sieved = _fields(engine.gap_blocks(**_INDEX_PASS))
     next(engine.gap_blocks(**_INDEX_PASS)).gaps[:] = 0  # a replayed block is a fresh copy
     replayed = _fields(engine.gap_blocks(**_INDEX_PASS))
-    assert calls == [(engine._worker_gaps, engine._sieve_limit(None, 20_000)[0])]
+    assert calls == [(engine._worker_counts, engine._sieve_limit(None, 20_000)[0])]
     assert replayed == sieved
     assert len(sieved) > 100 and sieved[0][2][:3] == [1, 2, 2]
     assert sum(len(f[2]) for f in sieved) == 20_000
@@ -743,7 +781,7 @@ def test_unfinished_or_other_passes_keep_nothing(monkeypatch, set_segment_slots)
             next(blocks)
         blocks.close()
         assert not engine._kept_stream, taken
-    real_worker, seen = engine._worker_gaps, []
+    real_worker, seen = engine._worker_counts, []
 
     def fail(task):
         seen.append(task)
@@ -751,11 +789,11 @@ def test_unfinished_or_other_passes_keep_nothing(monkeypatch, set_segment_slots)
             raise MemoryError
         return real_worker(task)
 
-    monkeypatch.setattr(engine, "_worker_gaps", fail)
+    monkeypatch.setattr(engine, "_worker_counts", fail)
     with pytest.raises(MemoryError):
         list(engine.gap_blocks(**_INDEX_PASS))
     assert not engine._kept_stream
-    monkeypatch.setattr(engine, "_worker_gaps", real_worker)
+    monkeypatch.setattr(engine, "_worker_counts", real_worker)
     list(engine.gap_blocks(prime_limit=250_000, workers=1))
     assert not engine._kept_stream  # prime mode
     # a finished one-segment index pass is kept like any other
@@ -888,13 +926,15 @@ def test_pool_is_no_larger_than_the_pass(monkeypatch, set_segment_slots):
     slots = 1 << 10
     set_segment_slots(slots)
     limit = 3 + 3 * 2 * slots - 1  # three segments
-    serial = list(engine._segment_map(engine._worker_gaps, limit, workers=1))
+    gap_pass = dict(extra=(limit, (), False, True))  # gap_blocks' pass
+    serial = list(engine._segment_map(engine._worker_counts, limit, workers=1, **gap_pass))
     assert len(serial) == 3
     for workers in (2, 3, 16):
-        pooled = list(engine._segment_map(engine._worker_gaps, limit, workers=workers))
+        pooled = list(engine._segment_map(engine._worker_counts, limit, workers=workers,
+                                          **gap_pass))
         assert [end for end, _ in pooled] == [end for end, _ in serial]
         for (_, got), (_, want) in zip(pooled, serial):
-            assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
+            assert _same_gaps(got[1:], want[1:])
     assert _StubPool.sizes == [2, 3, 3]
 
 

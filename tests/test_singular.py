@@ -61,8 +61,10 @@ def test_tuple_spec_validation():
 def test_tuple_spec_from_integers_translates():
     assert TupleSpec.from_integers([5, 7, 11]).offsets == (0, 2, 6)
     assert TupleSpec.from_integers([11, 5, 7]).offsets == (0, 2, 6)
-    with pytest.raises(ValidationError):
-        TupleSpec.from_integers([])
+    assert TupleSpec.from_integers([-2, 0, 4]).offsets == (0, 2, 6)
+    for bad in ([], [0, True], [0, 2.0], [0, "2"]):  # a bool or non-integer is not translated
+        with pytest.raises(ValidationError):
+            TupleSpec.from_integers(bad)
 
 
 def test_residue_count_accepts_large_prime_modulus():

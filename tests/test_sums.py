@@ -9,6 +9,7 @@ import oracles
 from gapsum import engine, singular, sums, verify
 from gapsum.errors import (
     EmptyDomainError,
+    GapsumError,
     PrecisionError,
     UnsupportedExponentError,
     ValidationError,
@@ -340,6 +341,14 @@ _STOPPED_RUNS = {
 }
 
 
+@pytest.mark.parametrize("stop", [math.nan, 2.5, True, "7", 0])
+@pytest.mark.parametrize("run", list(_STOPPED_RUNS))
+def test_segment_budget_must_be_an_integer_of_one_or_more(run, stop):
+    series = _STOPPED_RUNS[run][0]
+    with pytest.raises(GapsumError):
+        series(workers=1, stop_after_segments=stop)
+
+
 @pytest.mark.parametrize("run", list(_STOPPED_RUNS))
 def test_resume_refuses_a_limit_below_its_restart_point(run, set_segment_slots):
     series, slots, stop = _STOPPED_RUNS[run]
@@ -582,4 +591,7 @@ def test_weight_type_rejected():
 def test_heuristic_tail_validation():
     with pytest.raises(ValidationError):
         sums.en_heuristic_tail(10**6, 2.0)
+    for index_limit in (1, 2.5, True, "1000"):  # below 3, or not an integer
+        with pytest.raises(ValidationError):
+            sums.en_heuristic_tail(index_limit, 3.0)
     assert sums.en_heuristic_tail(10**6, 3.0) > 0
